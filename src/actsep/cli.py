@@ -42,9 +42,12 @@ def _cap() -> int:
     if raw is None:
         return DEFAULT_SEARCH_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise ActsepError(f"{_CAP_ENV} must be an integer, got {raw!r}")
+    if cap < 1:
+        raise ActsepError(f"{_CAP_ENV} must be at least 1, got {raw!r}")
+    return cap
 
 
 def _read(path: str) -> str:

@@ -11,7 +11,7 @@ strings (universal partition first, equality last).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .acts import ActHomomorphism, FiniteAct, act_from_table, act_homomorphism, require_subact, subact_as_act
 from .errors import (
@@ -36,10 +36,11 @@ DEFAULT_SEARCH_CAP = 5_000_000
 class Congruence:
     """A partition verified compatible with the action.
 
-    Only this module constructs Congruence values: through verify_congruence,
-    through constructions that are compatible by design (closures, kernels,
-    Rees congruences, meets) or through the enumeration, whose output is
-    checked against a generate-then-filter oracle in the tests.
+    Congruence values are built through verify_congruence, through
+    constructions that are compatible by design (closures, kernels, Rees
+    congruences, meets, and the syntactic congruences of the separation
+    search) or through the enumeration; the last two are checked against
+    generate-then-filter oracles and each other in the tests.
     """
 
     act: FiniteAct
@@ -136,18 +137,8 @@ def meet(*congruences: Congruence) -> Congruence:
     for c in congruences[1:]:
         if c.act != act:
             raise ActMismatch("meet across different acts")
-    combined = list(zip(*(c.partition.block_of for c in congruences)))
-    return Congruence(act, _assignment_of_tuples(combined))
-
-
-def _assignment_of_tuples(combined: Sequence[tuple[int, ...]]) -> Partition:
-    seen: dict[tuple[int, ...], int] = {}
-    out = []
-    for key in combined:
-        if key not in seen:
-            seen[key] = len(seen)
-        out.append(seen[key])
-    return partition_from_assignment(out)
+    combined = zip(*(c.partition.block_of for c in congruences))
+    return Congruence(act, partition_from_assignment(combined))
 
 
 def restrict(congruence: Congruence, subset: Iterable[int]) -> Congruence:
@@ -155,7 +146,7 @@ def restrict(congruence: Congruence, subset: Iterable[int]) -> Congruence:
     sub_act, embedding = subact_as_act(congruence.act, subset)
     block_of = congruence.partition.block_of
     return verify_congruence(
-        sub_act, _assignment_of_tuples([(block_of[a],) for a in embedding])
+        sub_act, partition_from_assignment(block_of[a] for a in embedding)
     )
 
 
@@ -176,8 +167,7 @@ def quotient(act: FiniteAct, congruence: Congruence) -> tuple[FiniteAct, ActHomo
 
 def kernel(hom: ActHomomorphism) -> Congruence:
     """ker theta: (a, b) related iff a theta = b theta."""
-    assignment = _assignment_of_tuples([(v,) for v in hom.map])
-    return verify_congruence(hom.source, assignment)
+    return verify_congruence(hom.source, partition_from_assignment(hom.map))
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,14 @@ equal, and `blocks()` lists blocks sorted by least member.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Hashable, Iterable
 
 
-def normalize_block_ids(assignment: Sequence[int]) -> tuple[int, ...]:
-    """Relabel arbitrary block ids to first-occurrence order starting at 0."""
-    seen: dict[int, int] = {}
+def normalize_block_ids(assignment: Iterable[Hashable]) -> tuple[int, ...]:
+    """Relabel arbitrary hashable block keys to first-occurrence order
+    starting at 0."""
+    seen: dict[Hashable, int] = {}
     out = []
     for b in assignment:
         if b not in seen:
@@ -25,10 +26,12 @@ def normalize_block_ids(assignment: Sequence[int]) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class Partition:
     block_of: tuple[int, ...]
+    _index: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.block_of != normalize_block_ids(self.block_of):
             raise ValueError("block ids not in first-occurrence normal form")
+        object.__setattr__(self, "_index", max(self.block_of) + 1 if self.block_of else 0)
 
     @property
     def size(self) -> int:
@@ -37,7 +40,7 @@ class Partition:
     @property
     def index(self) -> int:
         """Number of blocks (the paper-level index of the relation)."""
-        return max(self.block_of) + 1 if self.block_of else 0
+        return self._index
 
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         out: list[list[int]] = [[] for _ in range(self.index)]
@@ -59,7 +62,7 @@ class Partition:
         return self.index <= 1
 
 
-def partition_from_assignment(assignment: Sequence[int]) -> Partition:
+def partition_from_assignment(assignment: Iterable[Hashable]) -> Partition:
     return Partition(normalize_block_ids(assignment))
 
 

@@ -7,6 +7,7 @@ correspondence checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import xor
 from typing import Iterable, Mapping, Sequence
 
 from .acts import (
@@ -41,6 +42,7 @@ from .errors import (
     NotTwoSidedCongruence,
     PreconditionViolated,
     RRelated,
+    SearchSpaceTooLarge,
     XMeetsBlock,
 )
 from .monoids import (
@@ -50,7 +52,7 @@ from .monoids import (
     rees_matrix_monoid,
     right_ideals,
 )
-from .partitions import partition_from_assignment
+from .partitions import Partition, normalize_block_ids, partition_from_assignment
 
 DEFAULT_SUBACT_CAP = 1 << 16
 
@@ -88,14 +90,8 @@ def sigma_a(act: FiniteAct, a: int) -> Congruence:
     """Partition the carrier by bracket-set equality.  Always a congruence
     with {a} as the block of a; a verification failure is a bug."""
     profile = bracket_profile(act, a)
-    seen: dict[frozenset[int], int] = {}
-    assignment = []
-    for br in profile.brackets:
-        if br not in seen:
-            seen[br] = len(seen)
-        assignment.append(seen[br])
     try:
-        cong = verify_congruence(act, partition_from_assignment(assignment))
+        cong = verify_congruence(act, partition_from_assignment(profile.brackets))
     except Exception as exc:  # pragma: no cover - theory guarantees compatibility
         raise InternalInvariantViolation(f"bracket partition not a congruence: {exc}") from exc
     if len(cong.partition.block(a)) != 1:
@@ -148,6 +144,75 @@ def _check_separation_input(act: FiniteAct, a: int, forbidden: frozenset[int]) -
         raise InvalidSpec(f"element {a} belongs to the forbidden set")
 
 
+def _require_within_cap(
+    act: FiniteAct,
+    instances: Sequence[tuple[int, frozenset[int]]],
+    max_index: int | None,
+    cap: int,
+) -> None:
+    """Raise SearchSpaceTooLarge when the instances together have more than
+    cap candidate sets: 2^(n-|X|-1) each, none at all below bound 2."""
+    if max_index is not None and max_index < 2:
+        return
+    total = sum(1 << (act.size - len(forb) - 1) for _, forb in instances)
+    if total > cap:
+        raise SearchSpaceTooLarge(total, cap)
+
+
+def _hit_masks(act: FiniteAct) -> list[list[int]]:
+    """hits[y][x] is the bitmask of the monoid elements m with x*m = y."""
+    hits = [[0] * act.size for _ in range(act.size)]
+    for x, row in enumerate(act.table):
+        for m, y in enumerate(row):
+            hits[y][x] |= 1 << m
+    return hits
+
+
+def _syntactic_search(
+    act: FiniteAct,
+    hits: list[list[int]],
+    a: int,
+    forbidden: frozenset[int],
+    max_index: int | None,
+) -> Congruence | None:
+    """Minimal separation by syntactic congruences.
+
+    For a set C of carrier elements, sigma_C relates x and y iff, for every
+    m, x*m lies in C exactly when y*m does: the largest congruence in which C
+    is a union of classes.  If a congruence separates a from X and C is the
+    class of a, then sigma_C contains it and still separates; so every
+    minimal-index separating congruence is some sigma_C with a in C and C
+    disjoint from X, and only those 2^(n-|X|-1) sets need checking.  For
+    C = {a}, sigma_C is the bracket congruence sigma_a.
+
+    With hits = _hit_masks(act), the key of x under C (the m with x*m in C)
+    is the OR of hits[y][x] over y in C.  For a fixed x these masks are
+    disjoint, so adding or removing y is an XOR with hits[y], and walking the
+    candidate sets in Gray-code order costs one XOR per element and step.
+
+    Returns the minimal-index sigma_C, ties broken by the lexicographically
+    least block_of (the first in restricted-growth-string order), or None
+    when that index exceeds max_index."""
+    size = act.size
+    bound = size if max_index is None else max_index
+    if bound < 2:  # one block cannot separate a from a non-empty X
+        return None
+    free = [y for y in range(size) if y != a and y not in forbidden]
+    keys = hits[a]
+    best_index = bound
+    best: tuple[int, ...] | None = None
+    for step in range(1 << len(free)):
+        if step:
+            y = free[(step & -step).bit_length() - 1]
+            keys = list(map(xor, keys, hits[y]))
+        index = len(set(keys))
+        if index <= best_index:
+            block_of = normalize_block_ids(keys)
+            if best is None or index < best_index or block_of < best:
+                best_index, best = index, block_of
+    return None if best is None else Congruence(act, Partition(best))
+
+
 def separate(
     act: FiniteAct,
     a: int,
@@ -155,22 +220,18 @@ def separate(
     max_index: int | None = None,
     cap: int = DEFAULT_SEARCH_CAP,
 ) -> SeparationCertificate | None:
-    """Minimal-index congruence separating a from the forbidden set, ties
-    broken by enumeration order; None when no congruence within max_index
-    separates.  Unbounded search always succeeds on a finite act because the
-    bracket congruence of a separates a from everything else, which also
-    bounds the enumeration."""
+    """Minimal-index congruence separating a from the forbidden set X, ties
+    broken by restricted-growth-string order; None when no congruence within
+    max_index separates.  Unbounded search always succeeds on a finite act
+    because the bracket congruence of a separates a from everything else.
+    The search checks the syntactic congruence of every set C with a in C and
+    C disjoint from X; SearchSpaceTooLarge is raised when those 2^(n-|X|-1)
+    candidate sets exceed cap."""
     forb = frozenset(forbidden)
     _check_separation_input(act, a, forb)
-    sigma_bound = sigma_a(act, a).index
-    bound = sigma_bound if max_index is None else min(max_index, sigma_bound)
-    best: tuple[int, int, Congruence] | None = None
-    for rank, cong in enumerate(enumerate_congruences(act, max_index=bound, cap=cap)):
-        if _separates(cong, a, forb) and (best is None or cong.index < best[0]):
-            best = (cong.index, rank, cong)
-    if best is None:
-        return None
-    return make_certificate(act, a, forb, best[2])
+    _require_within_cap(act, [(a, forb)], max_index, cap)
+    cong = _syntactic_search(act, _hit_masks(act), a, forb, max_index)
+    return None if cong is None else make_certificate(act, a, forb, cong)
 
 
 def minimal_separating_index(
@@ -232,29 +293,21 @@ def check_condition(
     cap: int = DEFAULT_SEARCH_CAP,
     subact_cap: int = DEFAULT_SUBACT_CAP,
 ) -> ConditionReport:
-    """Decide one of RF/WSS/SSS/CS by solving every instance with a minimal
-    separation search; the congruence enumeration is shared across instances
-    (sound: each instance's optimum is bounded by its bracket congruence)."""
+    """Decide one of RF/WSS/SSS/CS by solving every instance with the minimal
+    separation search of separate(), in instance order.  The cap bounds the
+    candidate sets of all instances together, checked before any is solved;
+    a CS instance has exactly one, so CS reduces to the bracket
+    congruences."""
     cond = condition.upper()
     instances = _condition_instances(act, cond, subact_cap)
-    if not instances:
-        return ConditionReport(cond, act, True, (), None)
-    sigma_bounds = {a: sigma_a(act, a).index for a in sorted({a for a, _ in instances})}
-    bound = max(sigma_bounds.values())
-    if max_index is not None:
-        bound = min(bound, max_index)
-    ranked = list(enumerate(enumerate_congruences(act, max_index=bound, cap=cap)))
+    _require_within_cap(act, instances, max_index, cap)
+    hits = _hit_masks(act)
     certificates: list[SeparationCertificate] = []
     for a, forb in instances:
-        best: tuple[int, int, Congruence] | None = None
-        limit = sigma_bounds[a] if max_index is None else min(max_index, sigma_bounds[a])
-        for rank, cong in ranked:
-            if cong.index <= limit and _separates(cong, a, forb):
-                if best is None or cong.index < best[0]:
-                    best = (cong.index, rank, cong)
-        if best is None:
+        cong = _syntactic_search(act, hits, a, forb, max_index)
+        if cong is None:
             return ConditionReport(cond, act, False, tuple(certificates), (a, forb))
-        certificates.append(make_certificate(act, a, forb, best[2]))
+        certificates.append(make_certificate(act, a, forb, cong))
     return ConditionReport(cond, act, True, tuple(certificates), None)
 
 
@@ -277,13 +330,7 @@ def rclass_witness(act: FiniteAct, zero: int, a: int) -> SeparationCertificate:
         else:
             row = act.table[x]
             keys.append(tuple(all(row[r] == zero for r in rc) for rc in rclasses))
-    seen: dict[tuple, int] = {}
-    assignment = []
-    for key in keys:
-        if key not in seen:
-            seen[key] = len(seen)
-        assignment.append(seen[key])
-    cong = verify_congruence(act, partition_from_assignment(assignment))
+    cong = verify_congruence(act, partition_from_assignment(keys))
     return make_certificate(act, a, {zero}, cong)
 
 
@@ -316,13 +363,7 @@ def clifford_witness(act: FiniteAct, a: int, b: int) -> SeparationCertificate:
     if leq[a][b]:
         a, b = b, a
     assignment = [0 if leq[a][x] else 1 for x in act.carrier()]
-    seen: dict[int, int] = {}
-    normalized = []
-    for v in assignment:
-        if v not in seen:
-            seen[v] = len(seen)
-        normalized.append(seen[v])
-    cong = verify_congruence(act, partition_from_assignment(normalized))
+    cong = verify_congruence(act, partition_from_assignment(assignment))
     return make_certificate(act, a, {b}, cong)
 
 
@@ -385,13 +426,7 @@ def rees_cyclic_sss_witness(
     if act.size < 3:
         return make_certificate(act, element, {zero}, equality_congruence(act))
     assignment = [0 if x == one else 1 if x == zero else 2 for x in act.carrier()]
-    seen: dict[int, int] = {}
-    normalized = []
-    for v in assignment:
-        if v not in seen:
-            seen[v] = len(seen)
-        normalized.append(seen[v])
-    cong = verify_congruence(act, partition_from_assignment(normalized))
+    cong = verify_congruence(act, partition_from_assignment(assignment))
     return make_certificate(act, element, {zero}, cong)
 
 
@@ -426,13 +461,7 @@ def disjoint_union_witness(
     if overlap:
         raise XMeetsBlock(min(overlap))
     assignment = [0 if x in mine else 1 for x in act.carrier()]
-    seen: dict[int, int] = {}
-    normalized = []
-    for v in assignment:
-        if v not in seen:
-            seen[v] = len(seen)
-        normalized.append(seen[v])
-    cong = verify_congruence(act, partition_from_assignment(normalized))
+    cong = verify_congruence(act, partition_from_assignment(assignment))
     return make_certificate(act, a, forb, cong)
 
 
@@ -460,13 +489,7 @@ def disjoint_union_fallback(
     keys = [
         ("in", sub_blocks[pos[x]]) if x in pos else ("out",) for x in act.carrier()
     ]
-    seen: dict[tuple, int] = {}
-    assignment = []
-    for key in keys:
-        if key not in seen:
-            seen[key] = len(seen)
-        assignment.append(seen[key])
-    cong = verify_congruence(act, partition_from_assignment(assignment))
+    cong = verify_congruence(act, partition_from_assignment(keys))
     return make_certificate(act, a, forb, cong)
 
 
@@ -567,10 +590,6 @@ class CorrespondenceReport:
         )
 
 
-def _monoid_separates(cong: Congruence, a: int, forbidden: frozenset[int]) -> bool:
-    return _separates(cong, a, forbidden)
-
-
 def _monoid_conditions(n_monoid: FiniteMonoid, cap: int) -> dict[str, bool]:
     """Brute-force monoid-side separability: a monoid homomorphism into a
     finite monoid is exactly a finite-index two-sided congruence."""
@@ -580,7 +599,7 @@ def _monoid_conditions(n_monoid: FiniteMonoid, cap: int) -> dict[str, bool]:
     ]
 
     def separable(a: int, forbidden: frozenset[int]) -> bool:
-        return any(_monoid_separates(c, a, forbidden) for c in two_sided)
+        return any(_separates(c, a, forbidden) for c in two_sided)
 
     size = n_monoid.order
     rf = all(

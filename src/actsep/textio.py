@@ -25,12 +25,22 @@ def _content_lines(text: str) -> list[str]:
     return out
 
 
-def _expect(tokens: list[str], keyword: str, arity: int | None) -> list[str]:
-    if not tokens or tokens[0] != keyword:
-        raise MalformedTable(f"expected {keyword!r} line, found {' '.join(tokens) or 'nothing'!r}")
-    if arity is not None and len(tokens) != arity + 1:
+def _header(lines: list[str], pos: int, keyword: str, arity: int) -> list[str]:
+    """The arguments of the `keyword` line expected at content line pos."""
+    if pos >= len(lines):
+        raise MalformedTable(f"missing {keyword!r} line")
+    tokens = lines[pos].split()
+    if tokens[0] != keyword:
+        raise MalformedTable(f"expected {keyword!r} line, found {' '.join(tokens)!r}")
+    if len(tokens) != arity + 1:
         raise MalformedTable(f"{keyword!r} line takes {arity} argument(s)")
     return tokens[1:]
+
+
+def _labels(lines: list[str], pos: int) -> list[str] | None:
+    """The optional labels line at content line pos."""
+    tokens = lines[pos].split() if pos < len(lines) else []
+    return tokens[1:] if tokens and tokens[0] == "labels" else None
 
 
 def write_monoid(monoid: FiniteMonoid) -> str:
@@ -51,18 +61,16 @@ def parse_monoid(text: str) -> FiniteMonoid:
     lines = _content_lines(text)
     if not lines:
         raise MalformedTable("empty monoid file")
-    name = _expect(lines[0].split(), "monoid", 1)[0]
-    order = int(_expect(lines[1].split(), "order", 1)[0])
-    identity = int(_expect(lines[2].split(), "identity", 1)[0])
+    name = _header(lines, 0, "monoid", 1)[0]
+    order = int(_header(lines, 1, "order", 1)[0])
+    identity = int(_header(lines, 2, "identity", 1)[0])
     pos = 3
-    labels = None
-    tokens = lines[pos].split()
-    if tokens and tokens[0] == "labels":
-        labels = tokens[1:]
+    labels = _labels(lines, pos)
+    if labels is not None:
         if len(labels) != order:
             raise MalformedTable(f"{len(labels)} labels for order {order}")
         pos += 1
-    _expect(lines[pos].split(), "table", 0)
+    _header(lines, pos, "table", 0)
     pos += 1
     rows = lines[pos : pos + order]
     if len(rows) != order:
@@ -95,21 +103,19 @@ def parse_act(text: str, monoid: FiniteMonoid) -> FiniteAct | PartialAct:
         raise MalformedTable("first line must be 'act <name>' or 'partialact <name>'")
     partial = head[0] == "partialact"
     name = head[1]
-    declared = _expect(lines[1].split(), "monoid", 1)[0]
+    declared = _header(lines, 1, "monoid", 1)[0]
     if declared != monoid.name:
         raise InvalidSpec(
             f"act declares monoid {declared!r} but was resolved against {monoid.name!r}"
         )
-    size = int(_expect(lines[2].split(), "size", 1)[0])
+    size = int(_header(lines, 2, "size", 1)[0])
     pos = 3
-    labels = None
-    tokens = lines[pos].split()
-    if tokens and tokens[0] == "labels":
-        labels = tokens[1:]
+    labels = _labels(lines, pos)
+    if labels is not None:
         if len(labels) != size:
             raise MalformedTable(f"{len(labels)} labels for size {size}")
         pos += 1
-    _expect(lines[pos].split(), "table", 0)
+    _header(lines, pos, "table", 0)
     pos += 1
     rows = lines[pos : pos + size]
     if len(rows) != size:
@@ -139,10 +145,10 @@ def write_congruence(congruence: Congruence) -> str:
 
 def parse_congruence(text: str, act: FiniteAct) -> Congruence:
     lines = _content_lines(text)
-    declared = _expect(lines[0].split(), "congruence", 1)[0]
+    declared = _header(lines, 0, "congruence", 1)[0]
     if declared != act.name:
         raise InvalidSpec(f"congruence declares act {declared!r}, expected {act.name!r}")
-    count = int(_expect(lines[1].split(), "classes", 1)[0])
+    count = int(_header(lines, 1, "classes", 1)[0])
     rows = lines[2 : 2 + count]
     if len(rows) != count:
         raise MalformedTable(f"expected {count} class lines, found {len(rows)}")
@@ -157,6 +163,8 @@ def write_certificate(cert: SeparationCertificate) -> str:
 
 def parse_certificate(text: str, act: FiniteAct) -> SeparationCertificate:
     lines = _content_lines(text)
+    if not lines:
+        raise MalformedTable("missing 'separates' line")
     tokens = lines[0].split()
     if len(tokens) < 4 or tokens[0] != "separates" or tokens[2] != "from":
         raise MalformedTable("certificate must start with 'separates <i> from <j> ...'")

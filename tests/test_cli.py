@@ -202,6 +202,50 @@ def test_exit_code_search_cap(kozh_files, capsys, monkeypatch):
     assert "search space" in capsys.readouterr().err
 
 
+def test_search_cap_bounds_whole_check(kozh_files, capsys, monkeypatch):
+    # each RF instance of the 5-element act has 8 candidate sets, within the
+    # cap of 10, but the 10 instances together have 80
+    monoid, act = kozh_files
+    monkeypatch.setenv("ACTSEP_MAX_SEARCH", "10")
+    code = main(["check", "--act", str(act), "--monoid-file", str(monoid), "--condition", "rf"])
+    assert code == 4
+    assert "search space ~80 exceeds cap 10" in capsys.readouterr().err
+
+
+def test_validate_header_only_monoid_is_invalid(tmp_path, capsys):
+    bad = tmp_path / "bad.monoid"
+    bad.write_text("monoid X\n")
+    assert main(["validate", "--monoid", str(bad)]) == 1
+    assert capsys.readouterr().err == "invalid: missing 'order' line\n"
+
+
+def test_truncated_input_exits_3(kozh_files, tmp_path, capsys):
+    monoid, act = kozh_files
+    bad = tmp_path / "bad.monoid"
+    bad.write_text("monoid X\n")
+    code = main(["min-index", "--act", str(act), "--monoid-file", str(bad),
+                 "--element", "3", "--from", "4"])
+    assert code == 3
+    bad_act = tmp_path / "bad.act"
+    bad_act.write_text("act kozhukhov\n")
+    code = main(["check", "--act", str(bad_act), "--monoid-file", str(monoid),
+                 "--condition", "rf"])
+    assert code == 3
+    assert "missing 'monoid' line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", ["0", "-1"])
+def test_search_cap_below_one_rejected(kozh_files, capsys, monkeypatch, raw):
+    monoid, act = kozh_files
+    monkeypatch.setenv("ACTSEP_MAX_SEARCH", raw)
+    code = main([
+        "min-index", "--act", str(act), "--monoid-file", str(monoid),
+        "--element", "3", "--from", "4",
+    ])
+    assert code == 3
+    assert "ACTSEP_MAX_SEARCH must be at least 1" in capsys.readouterr().err
+
+
 def test_family_dump_partial_act(tmp_path):
     assert main(["family", "dump", "--name", "bz_window", "--param", "w=4", "--out", str(tmp_path)]) == 0
     text = (tmp_path / "bz_window.act").read_text()

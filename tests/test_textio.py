@@ -111,3 +111,37 @@ def test_malformed_files():
         parse_monoid("")
     with pytest.raises(MalformedTable):
         parse_act("act a\nmonoid Null2^1\nsize 1\ntable\n0 - 0 0\n", NULL2)
+
+
+def _prefixes(text):
+    lines = text.splitlines()
+    return ["\n".join(lines[:k]) + "\n" for k in range(len(lines))]
+
+
+def test_truncated_files_raise_malformed_table():
+    # every proper prefix of a valid file is malformed, headers included
+    act = regular_act(NULL2)
+    cert = separate(act, 1, {3})
+    cases = [
+        (write_monoid(NULL2), parse_monoid),
+        (write_act(act), lambda text: parse_act(text, NULL2)),
+        (write_congruence(cert.congruence), lambda text: parse_congruence(text, act)),
+        (write_certificate(cert), lambda text: parse_certificate(text, act)),
+    ]
+    for text, parse in cases:
+        for prefix in _prefixes(text):
+            with pytest.raises(MalformedTable):
+                parse(prefix)
+
+
+def test_missing_header_line_is_named():
+    with pytest.raises(MalformedTable, match="missing 'order' line"):
+        parse_monoid("monoid X\n")
+    with pytest.raises(MalformedTable, match="missing 'table' line"):
+        parse_monoid("monoid X\norder 1\nidentity 0\n")
+    with pytest.raises(MalformedTable, match="missing 'size' line"):
+        parse_act("act a\nmonoid Null2^1\n", NULL2)
+    with pytest.raises(MalformedTable, match="missing 'classes' line"):
+        parse_congruence("congruence Null2^1\n", regular_act(NULL2))
+    with pytest.raises(MalformedTable, match="missing 'separates' line"):
+        parse_certificate("# nothing\n", regular_act(NULL2))
