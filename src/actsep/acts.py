@@ -22,9 +22,12 @@ from .errors import (
     MonoidMismatch,
     NotARetraction,
     NotASubact,
+    SearchSpaceTooLarge,
 )
-from .monoids import FiniteMonoid
+from .monoids import FiniteMonoid, _distinct_unions
 from .partitions import Partition, partition_from_assignment
+
+DEFAULT_SUBACT_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -234,25 +237,13 @@ def cyclic_subacts(act: FiniteAct) -> tuple[frozenset[int], ...]:
     return tuple(sorted(seen, key=lambda o: seen[o]))
 
 
-def subacts(act: FiniteAct, cap: int = 1 << 16) -> tuple[frozenset[int], ...]:
-    """All subacts, as unions of the distinct cyclic subacts."""
-    from .errors import SearchSpaceTooLarge
-
+def subacts(act: FiniteAct, cap: int = DEFAULT_SUBACT_CAP) -> tuple[frozenset[int], ...]:
+    """All subacts, as unions of the distinct cyclic subacts, sorted by
+    (size, members)."""
     orbits = cyclic_subacts(act)
     if 1 << len(orbits) > cap:
         raise SearchSpaceTooLarge(1 << len(orbits), cap)
-    seen: set[frozenset[int]] = set()
-    out: list[frozenset[int]] = []
-    for mask in range(1, 1 << len(orbits)):
-        acc: frozenset[int] = frozenset()
-        for b, orb in enumerate(orbits):
-            if mask >> b & 1:
-                acc |= orb
-        if acc not in seen:
-            seen.add(acc)
-            out.append(acc)
-    out.sort(key=lambda s: (len(s), sorted(s)))
-    return tuple(out)
+    return tuple(frozenset(s) for s in _distinct_unions(orbits))
 
 
 def subact_as_act(act: FiniteAct, subset: Iterable[int], name: str = "B") -> tuple[FiniteAct, tuple[int, ...]]:
@@ -276,42 +267,15 @@ def preorder_and_green(act: FiniteAct) -> tuple[tuple[tuple[bool, ...], ...], tu
     leq = tuple(
         tuple(a in orbits[b] for b in act.carrier()) for a in act.carrier()
     )
-    assignment = [-1] * act.size
-    blocks: list[list[int]] = []
-    for a in act.carrier():
-        if assignment[a] != -1:
-            continue
-        bid = len(blocks)
-        block = [a]
-        assignment[a] = bid
-        for b in range(a + 1, act.size):
-            if assignment[b] == -1 and orbits[a] == orbits[b]:
-                assignment[b] = bid
-                block.append(b)
-        blocks.append(block)
-    return leq, tuple(tuple(b) for b in blocks)
+    return leq, partition_from_assignment(orbits).blocks()
 
 
 def decompose(act: FiniteAct) -> tuple[tuple[int, ...], ...]:
     """The unique partition into indecomposable subacts: connected components
-    of the undirected graph with edges {a, a*m}."""
-    parent = list(act.carrier())
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in act.carrier():
-        for v in act.table[a]:
-            ra, rv = find(a), find(v)
-            if ra != rv:
-                parent[max(ra, rv)] = min(ra, rv)
-    groups: dict[int, list[int]] = {}
-    for a in act.carrier():
-        groups.setdefault(find(a), []).append(a)
-    return tuple(tuple(groups[r]) for r in sorted(groups))
+    of the undirected graph with edges {a, a*m}.  The components are subacts,
+    so they are the classes of the least congruence containing those edges."""
+    edges = [(a, v) for a in act.carrier() for v in act.table[a]]
+    return closure_partial(act, edges).blocks()
 
 
 # ---------------------------------------------------------------------------
@@ -480,16 +444,19 @@ def transport_along_retraction(
 
 
 # ---------------------------------------------------------------------------
-# closure on partial acts (forcing arguments)
+# closure and compatibility, on total and partial tables alike
 
 
-def closure_partial(partial: PartialAct, seeds: Iterable[tuple[int, int]]) -> Partition:
+def closure_partial(partial: PartialAct | FiniteAct, seeds: Iterable[tuple[int, int]]) -> Partition:
     """Least equivalence containing the seeds and closed under every defined
-    action entry: x ~ y forces x*m ~ y*m whenever both are defined.
+    action entry: x ~ y forces x*m ~ y*m whenever both are defined.  On a
+    total act (no undefined entries) this is the least congruence containing
+    the seeds.
 
-    Union-find where each class root carries its defined images per column;
-    merging two classes merges their image maps and enqueues collisions, so
-    the fixed point is independent of processing order.
+    Union-find where each class root keeps one defined image per column (its
+    own row until the first merge copies it); merging two roots pushes every
+    column where both images are defined and differ, so the fixed point is
+    independent of processing order.
     """
     size = partial.size
     parent = list(range(size))
@@ -500,9 +467,8 @@ def closure_partial(partial: PartialAct, seeds: Iterable[tuple[int, int]]) -> Pa
             x = parent[x]
         return x
 
-    images: list[dict[int, int]] = [
-        {m: v for m, v in enumerate(row) if v is not None} for row in partial.table
-    ]
+    table = partial.table
+    images: list[list[int | None] | None] = [None] * size
     pending = [(a, b) for a, b in seeds]
     for a, b in pending:
         if not (0 <= a < size and 0 <= b < size):
@@ -512,30 +478,54 @@ def closure_partial(partial: PartialAct, seeds: Iterable[tuple[int, int]]) -> Pa
         ra, rb = find(a), find(b)
         if ra == rb:
             continue
-        if len(images[ra]) < len(images[rb]):
+        if ra > rb:
             ra, rb = rb, ra
         parent[rb] = ra
-        big, small = images[ra], images[rb]
-        for m, v in small.items():
-            if m in big:
-                pending.append((big[m], v))
-            else:
-                big[m] = v
-        images[rb] = {}
+        kept = images[ra]
+        if kept is None:
+            kept = images[ra] = list(table[ra])
+        merged = images[rb]
+        for m, v in enumerate(table[rb] if merged is None else merged):
+            if v is not None:
+                u = kept[m]
+                if u is None:
+                    kept[m] = v
+                elif u != v:
+                    pending.append((u, v))
     return partition_from_assignment([find(x) for x in range(size)])
 
 
-def is_closed_partition(partial: PartialAct, partition: Partition) -> tuple[int, int, int] | None:
+def _split_images(table: Sequence[Sequence[int | None]], partition: Partition) -> tuple[int, int, int] | None:
+    """The compatibility check behind compatibility_violation,
+    is_closed_partition and two_sided_violation: None if, in every column m,
+    the defined images x*m of each block lie in one block; else a witness
+    (a, b, m) with a ~ b, both images defined and split.
+
+    Each block keeps one defined image per column and the member it came
+    from, as closure_partial does, so a is the first member with an image in
+    column m and b the first member whose image lies in another block.
+    Linear in the size of the table."""
+    block_of = partition.block_of
+    for block in partition.blocks():
+        if len(block) < 2:
+            continue
+        kept = list(table[block[0]])
+        owner = [block[0]] * len(kept)
+        for x in block[1:]:
+            for m, v in enumerate(table[x]):
+                if v is not None:
+                    u = kept[m]
+                    if u is None:
+                        kept[m] = v
+                        owner[m] = x
+                    elif block_of[u] != block_of[v]:
+                        return (owner[m], x, m)
+    return None
+
+
+def is_closed_partition(partial: PartialAct | FiniteAct, partition: Partition) -> tuple[int, int, int] | None:
     """None if the partition is compatible with every defined entry, else a
     witness (a, b, m) where a ~ b but the defined images split."""
     if partition.size != partial.size:
         raise InvalidSpec("partition size does not match the carrier")
-    blocks = partition.blocks()
-    for block in blocks:
-        for i, a in enumerate(block):
-            for b in block[i + 1 :]:
-                for m in partial.monoid.elements():
-                    u, v = partial.table[a][m], partial.table[b][m]
-                    if u is not None and v is not None and not partition.same(u, v):
-                        return (a, b, m)
-    return None
+    return _split_images(partial.table, partition)

@@ -13,7 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .acts import ActHomomorphism, FiniteAct, act_from_table, act_homomorphism, require_subact, subact_as_act
+from .acts import (
+    ActHomomorphism,
+    FiniteAct,
+    _split_images,
+    act_from_table,
+    act_homomorphism,
+    closure_partial,
+    require_subact,
+    subact_as_act,
+)
 from .errors import (
     ActMismatch,
     NotACongruence,
@@ -58,20 +67,11 @@ class Congruence:
 
 
 def compatibility_violation(act: FiniteAct, partition: Partition) -> tuple[int, int, int] | None:
-    """None if compatible; otherwise a witness (a, b, m)."""
+    """None if compatible; otherwise a witness (a, b, m) with a ~ b but
+    a*m !~ b*m."""
     if partition.size != act.size:
         raise ActMismatch("partition size does not match the act carrier")
-    block_of = partition.block_of
-    table = act.table
-    for block in partition.blocks():
-        for i, a in enumerate(block):
-            ra = table[a]
-            for b in block[i + 1 :]:
-                rb = table[b]
-                for m in act.monoid.elements():
-                    if block_of[ra[m]] != block_of[rb[m]]:
-                        return (a, b, m)
-    return None
+    return _split_images(act.table, partition)
 
 
 def verify_congruence(act: FiniteAct, partition: Partition) -> Congruence:
@@ -90,35 +90,8 @@ def universal_congruence(act: FiniteAct) -> Congruence:
 
 
 def principal_closure(act: FiniteAct, seeds: Iterable[tuple[int, int]]) -> Congruence:
-    """Least congruence containing the seed pairs: union-find with a work
-    queue that pushes the image pair of every merged pair through all monoid
-    columns; complete on total tables by transitivity of the merge chains."""
-    size = act.size
-    parent = list(range(size))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    table = act.table
-    n = act.monoid.order
-    pending = [(a, b) for a, b in seeds]
-    for a, b in pending:
-        if not (0 <= a < size and 0 <= b < size):
-            raise ActMismatch(f"seed ({a}, {b}) out of range")
-    while pending:
-        a, b = pending.pop()
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            continue
-        parent[max(ra, rb)] = min(ra, rb)
-        ta, tb = table[a], table[b]
-        for m in range(n):
-            if ta[m] != tb[m]:
-                pending.append((ta[m], tb[m]))
-    return Congruence(act, partition_from_assignment([find(x) for x in range(size)]))
+    """Least congruence containing the seed pairs (see closure_partial)."""
+    return Congruence(act, closure_partial(act, seeds))
 
 
 def rees_congruence(act: FiniteAct, subset: Iterable[int]) -> Congruence:
@@ -277,16 +250,7 @@ def all_congruences(
 def two_sided_violation(congruence: Congruence) -> tuple[int, int, int] | None:
     """For a congruence on a regular act: None if it is also left-compatible,
     else a witness (a, b, m) with a ~ b but ma !~ mb."""
-    act = congruence.act
-    block_of = congruence.partition.block_of
-    table = act.monoid.table
-    for block in congruence.blocks():
-        for i, a in enumerate(block):
-            for b in block[i + 1 :]:
-                for m in act.monoid.elements():
-                    if block_of[table[m][a]] != block_of[table[m][b]]:
-                        return (a, b, m)
-    return None
+    return _split_images(congruence.act.monoid.left_table, congruence.partition)
 
 
 def quotient_monoid(monoid: FiniteMonoid, congruence: Congruence, name: str | None = None) -> FiniteMonoid:

@@ -22,24 +22,17 @@ from .acts import (
     regular_act,
     subact_generated,
 )
-from .congruences import (
-    DEFAULT_SEARCH_CAP,
-    compatibility_violation,
-    principal_closure,
-    quotient,
-    verify_congruence,
-)
+from .catalog import _bz_quotient_monoid, _clifford_tower_monoid
+from .congruences import DEFAULT_SEARCH_CAP, quotient, verify_congruence
 from .errors import ParamOutOfRange, UnknownFamily
 from .monoids import (
     FiniteMonoid,
-    StrongSemilatticeSpec,
     cyclic_group,
     left_zero_adjoined,
     monoid_from_table,
     null_adjoined,
-    strong_semilattice_monoid,
 )
-from .partitions import partition_from_blocks
+from .partitions import partition_from_assignment, partition_from_blocks
 from .separability import minimal_separating_index, separate
 
 
@@ -184,22 +177,6 @@ def _build_bz_window(w: int) -> FamilyInstance:
         for j in range(i + 1, min(5, w) + 1):
             facts.append(ForcingChain((b_idx(-i), b_idx(-j)), (b_idx(0), b_idx(j - i))))
     return FamilyInstance("bz_window", (("w", w),), monoid, act, marked, tuple(facts))
-
-
-def _bz_quotient_monoid(n: int) -> FiniteMonoid:
-    zero = 2 * n
-    table = [[0] * (2 * n + 1) for _ in range(2 * n + 1)]
-    for a in range(n):
-        for b in range(n):
-            table[a][b] = (a + b) % n
-            table[a][n + b] = n + (a + b) % n
-            table[n + a][b] = n + (a + b) % n
-            table[n + a][n + b] = zero
-    for x in range(2 * n + 1):
-        table[x][zero] = zero
-        table[zero][x] = zero
-    labels = [f"C{m}" for m in range(n)] + [f"D{m}" for m in range(n)] + ["0"]
-    return monoid_from_table(table, 0, labels, name=f"BZq{n}")
 
 
 def _build_bz_quotient(n: int) -> FamilyInstance:
@@ -485,55 +462,13 @@ def _build_free_monogenic_act(w: int) -> FamilyInstance:
     return FamilyInstance("free_monogenic_act", (("w", w),), monoid, act, marked, tuple(facts))
 
 
-def _clifford_tower_parts(n: int) -> tuple[FiniteMonoid, list[tuple[int, int]]]:
-    chain = monoid_from_table(
-        [[max(i, j) for j in range(n)] for i in range(n)],
-        0,
-        [f"y{i + 1}" for i in range(n)],
-        name="Ychain",
-    )
-    comps = []
-    for i in range(n):
-        order = 2 ** (i + 1)
-        labels = [f"e{i + 1}"] + [
-            f"g{i + 1}" if k == 1 else f"g{i + 1}^{k}" for k in range(1, order)
-        ]
-        comps.append(
-            monoid_from_table(
-                [[(a + b) % order for b in range(order)] for a in range(order)],
-                0,
-                labels,
-                name=f"Z{order}",
-            )
-        )
-    links = {
-        (i, j): tuple((k * 2 ** (j - i)) % 2 ** (j + 1) for k in range(2 ** (i + 1)))
-        for i in range(n)
-        for j in range(i, n)
-    }
-    monoid = strong_semilattice_monoid(
-        StrongSemilatticeSpec(chain, tuple(comps), links), name=f"Tower{n}"
-    )
-    pairs = [(0, 0)]
-    for a in range(n):
-        for k in range(2 ** (a + 1)):
-            if (a, k) != (0, 0):
-                pairs.append((a, k))
-    return monoid, pairs
-
-
 def _build_clifford_tower(n: int) -> FamilyInstance:
-    monoid, pairs = _clifford_tower_parts(n)
-    values = [(k * 2 ** (n - 1 - a)) % 2 ** n for (a, k) in pairs]
-    rho_blocks: dict[int, list[int]] = {}
-    for idx, v in enumerate(values):
-        rho_blocks.setdefault(v, []).append(idx)
-    blocks = tuple(
-        tuple(sorted(members))
-        for members in sorted(rho_blocks.values(), key=lambda b: min(b))
-    )
+    monoid = _clifford_tower_monoid(n)
+    # element order of the tower: component a = 0..n-1, then k in Z_{2^(a+1)}
+    pairs = [(a, k) for a in range(n) for k in range(2 ** (a + 1))]
+    rho = partition_from_assignment((k * 2 ** (n - 1 - a)) % 2 ** n for (a, k) in pairs)
+    blocks = rho.blocks()
     reg = regular_act(monoid)
-    rho = partition_from_blocks(monoid.order, blocks)
     cong = verify_congruence(reg, rho)
     act, proj = quotient(reg, cong)
     e1_class = proj.map[0]
@@ -640,11 +575,7 @@ def build(name: str, params: Mapping[str, int]) -> FamilyInstance:
 def _verify_fact(instance: FamilyInstance, fact: Fact, cap: int) -> FactResult:
     act = instance.act
     if isinstance(fact, ForcingChain):
-        if isinstance(act, PartialAct):
-            part = closure_partial(act, [fact.seed])
-        else:
-            part = principal_closure(act, [fact.seed]).partition
-        merged = part.same(*fact.target)
+        merged = closure_partial(act, [fact.seed]).same(*fact.target)
         return FactResult(fact, merged, "merged" if merged else "split")
     if isinstance(fact, MinIndexFact):
         assert isinstance(act, FiniteAct)
@@ -653,10 +584,7 @@ def _verify_fact(instance: FamilyInstance, fact: Fact, cap: int) -> FactResult:
     if isinstance(fact, CongruenceWitness):
         target = regular_act(instance.monoid) if fact.on_regular_act else act
         partition = partition_from_blocks(target.size, fact.blocks)
-        if isinstance(target, PartialAct):
-            witness = is_closed_partition(target, partition)
-        else:
-            witness = compatibility_violation(target, partition)
+        witness = is_closed_partition(target, partition)
         if witness is not None:
             return FactResult(fact, False, f"incompatible at {witness}")
         for element, forbidden in fact.separates:

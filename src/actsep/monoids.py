@@ -26,6 +26,7 @@ from .errors import (
     NotNormalSubgroup,
     RightIdealEnumerationTooLarge,
 )
+from .partitions import partition_from_assignment
 
 DEFAULT_CLOSURE_CAP = 10_000
 DEFAULT_IDEAL_CAP = 1 << 20
@@ -84,6 +85,12 @@ class FiniteMonoid:
                 return y
         raise InvalidSpec(f"element {x} has no two-sided inverse")
 
+    @cached_property
+    def left_table(self) -> tuple[tuple[int, ...], ...]:
+        """The transposed table: `left_table[a][m]` is m * a, so row a lists
+        the images of a under left multiplication."""
+        return tuple(zip(*self.table))
+
     def principal_right_ideal(self, m: int) -> frozenset[int]:
         """mM; contains m because the monoid has an identity."""
         return frozenset(self.table[m])
@@ -91,22 +98,14 @@ class FiniteMonoid:
     @cached_property
     def r_classes(self) -> tuple[tuple[int, ...], ...]:
         """Green's R-classes: m R n iff mM = nM, in order of least member."""
-        key_to_members: dict[frozenset[int], list[int]] = {}
-        for m in self.elements():
-            key_to_members.setdefault(self.principal_right_ideal(m), []).append(m)
-        classes = sorted(key_to_members.values(), key=lambda c: c[0])
-        return tuple(tuple(c) for c in classes)
+        ideals = map(self.principal_right_ideal, self.elements())
+        return partition_from_assignment(ideals).blocks()
 
     @cached_property
     def h_classes(self) -> tuple[tuple[int, ...], ...]:
-        n = self.order
-        left = [frozenset(self.table[x][m] for x in range(n)) for m in range(n)]
-        right = [self.principal_right_ideal(m) for m in range(n)]
-        key_to_members: dict[tuple[frozenset[int], frozenset[int]], list[int]] = {}
-        for m in self.elements():
-            key_to_members.setdefault((right[m], left[m]), []).append(m)
-        classes = sorted(key_to_members.values(), key=lambda c: c[0])
-        return tuple(tuple(c) for c in classes)
+        right = map(self.principal_right_ideal, self.elements())
+        left = map(frozenset, self.left_table)
+        return partition_from_assignment(zip(right, left)).blocks()
 
     def power(self, x: int, k: int) -> int:
         acc = self.identity
@@ -534,26 +533,26 @@ class StructureReport:
     right_ideals: tuple[tuple[int, ...], ...]
 
 
+def _distinct_unions(sets: Iterable[frozenset[int]]) -> list[tuple[int, ...]]:
+    """The distinct non-empty unions of the given sets, each as its sorted
+    members, sorted by (size, members).  Keeps only the distinct unions
+    found so far, never one entry per subset of the given sets."""
+    found: set[frozenset[int]] = set()
+    for members in sets:
+        found |= {members | union for union in found}
+        found.add(members)
+    out = [tuple(sorted(union)) for union in found]
+    out.sort(key=lambda union: (len(union), union))
+    return out
+
+
 def right_ideals(monoid: FiniteMonoid, cap: int = DEFAULT_IDEAL_CAP) -> tuple[tuple[int, ...], ...]:
-    """All right ideals, as unions of the distinct principal right ideals."""
-    principals = sorted(
-        {monoid.principal_right_ideal(m) for m in monoid.elements()},
-        key=lambda s: sorted(s),
-    )
+    """All right ideals, as unions of the distinct principal right ideals,
+    sorted by (size, members)."""
+    principals = set(map(monoid.principal_right_ideal, monoid.elements()))
     if 1 << len(principals) > cap:
         raise RightIdealEnumerationTooLarge(1 << len(principals), cap)
-    seen: set[frozenset[int]] = set()
-    out: list[tuple[int, ...]] = []
-    for mask in range(1, 1 << len(principals)):
-        acc: frozenset[int] = frozenset()
-        for b, p in enumerate(principals):
-            if mask >> b & 1:
-                acc |= p
-        if acc not in seen:
-            seen.add(acc)
-            out.append(tuple(sorted(acc)))
-    out.sort(key=lambda s: (len(s), s))
-    return tuple(out)
+    return tuple(_distinct_unions(principals))
 
 
 def structural_queries(monoid: FiniteMonoid, ideal_cap: int = DEFAULT_IDEAL_CAP) -> StructureReport:

@@ -11,6 +11,7 @@ from operator import xor
 from typing import Iterable, Mapping, Sequence
 
 from .acts import (
+    DEFAULT_SUBACT_CAP,
     FiniteAct,
     cyclic_subacts,
     preorder_and_green,
@@ -53,8 +54,6 @@ from .monoids import (
     right_ideals,
 )
 from .partitions import Partition, normalize_block_ids, partition_from_assignment
-
-DEFAULT_SUBACT_CAP = 1 << 16
 
 CONDITIONS = ("RF", "WSS", "SSS", "CS")
 
@@ -119,6 +118,7 @@ def make_certificate(
     act: FiniteAct, element: int, forbidden: Iterable[int], congruence: Congruence
 ) -> SeparationCertificate:
     forb = frozenset(forbidden)
+    _check_separation_input(act, element, forb)
     block_of = congruence.partition.block_of
     for x in forb:
         if block_of[x] == block_of[element]:
@@ -605,12 +605,9 @@ def _monoid_conditions(n_monoid: FiniteMonoid, cap: int) -> dict[str, bool]:
     rf = all(
         separable(a, frozenset({b})) for a in range(size) for b in range(a + 1, size)
     )
-    principal = sorted(
-        {frozenset(n_monoid.table[m]) for m in n_monoid.elements()}, key=sorted
-    )
     wss = all(
         separable(a, ideal)
-        for ideal in principal
+        for ideal in cyclic_subacts(reg)
         for a in range(size)
         if a not in ideal
     )
@@ -639,7 +636,7 @@ def act_monoid_correspondence(
     if rho.act.table != monoid.table:
         raise NotACongruence("rho must be a right congruence on the monoid")
     act, proj = quotient(rho.act, rho)
-    act_subacts = {frozenset(s) for s in subacts(act)}
+    act_subacts = set(subacts(act))
     violation = two_sided_violation(rho)
     if monoid_side and violation is not None:
         raise NotTwoSidedCongruence(*violation)

@@ -37,6 +37,14 @@ def _header(lines: list[str], pos: int, keyword: str, arity: int) -> list[str]:
     return tokens[1:]
 
 
+def _int(token: str, line: str) -> int:
+    """An integer token of the given content line."""
+    try:
+        return int(token)
+    except ValueError:
+        raise MalformedTable(f"expected an integer, found {token!r} in line {line!r}") from None
+
+
 def _labels(lines: list[str], pos: int) -> list[str] | None:
     """The optional labels line at content line pos."""
     tokens = lines[pos].split() if pos < len(lines) else []
@@ -62,8 +70,8 @@ def parse_monoid(text: str) -> FiniteMonoid:
     if not lines:
         raise MalformedTable("empty monoid file")
     name = _header(lines, 0, "monoid", 1)[0]
-    order = int(_header(lines, 1, "order", 1)[0])
-    identity = int(_header(lines, 2, "identity", 1)[0])
+    order = _int(_header(lines, 1, "order", 1)[0], lines[1])
+    identity = _int(_header(lines, 2, "identity", 1)[0], lines[2])
     pos = 3
     labels = _labels(lines, pos)
     if labels is not None:
@@ -75,7 +83,7 @@ def parse_monoid(text: str) -> FiniteMonoid:
     rows = lines[pos : pos + order]
     if len(rows) != order:
         raise MalformedTable(f"table needs {order} rows, found {len(rows)}")
-    table = [[int(v) for v in row.split()] for row in rows]
+    table = [[_int(v, row) for v in row.split()] for row in rows]
     return monoid_from_table(table, identity, labels, name=name)
 
 
@@ -108,7 +116,7 @@ def parse_act(text: str, monoid: FiniteMonoid) -> FiniteAct | PartialAct:
         raise InvalidSpec(
             f"act declares monoid {declared!r} but was resolved against {monoid.name!r}"
         )
-    size = int(_header(lines, 2, "size", 1)[0])
+    size = _int(_header(lines, 2, "size", 1)[0], lines[2])
     pos = 3
     labels = _labels(lines, pos)
     if labels is not None:
@@ -121,10 +129,7 @@ def parse_act(text: str, monoid: FiniteMonoid) -> FiniteAct | PartialAct:
     if len(rows) != size:
         raise MalformedTable(f"table needs {size} rows, found {len(rows)}")
 
-    def cell(v: str) -> int | None:
-        return None if v == "-" else int(v)
-
-    table = [[cell(v) for v in row.split()] for row in rows]
+    table = [[None if v == "-" else _int(v, row) for v in row.split()] for row in rows]
     if partial:
         return partial_act_from_table(monoid, table, labels, name=name)
     if any(v is None for row in table for v in row):
@@ -148,11 +153,11 @@ def parse_congruence(text: str, act: FiniteAct) -> Congruence:
     declared = _header(lines, 0, "congruence", 1)[0]
     if declared != act.name:
         raise InvalidSpec(f"congruence declares act {declared!r}, expected {act.name!r}")
-    count = int(_header(lines, 1, "classes", 1)[0])
+    count = _int(_header(lines, 1, "classes", 1)[0], lines[1])
     rows = lines[2 : 2 + count]
     if len(rows) != count:
         raise MalformedTable(f"expected {count} class lines, found {len(rows)}")
-    blocks = [[int(v) for v in row.split()] for row in rows]
+    blocks = [[_int(v, row) for v in row.split()] for row in rows]
     return verify_congruence(act, partition_from_blocks(act.size, blocks))
 
 
@@ -168,7 +173,7 @@ def parse_certificate(text: str, act: FiniteAct) -> SeparationCertificate:
     tokens = lines[0].split()
     if len(tokens) < 4 or tokens[0] != "separates" or tokens[2] != "from":
         raise MalformedTable("certificate must start with 'separates <i> from <j> ...'")
-    element = int(tokens[1])
-    forbidden = [int(v) for v in tokens[3:]]
+    element = _int(tokens[1], lines[0])
+    forbidden = [_int(v, lines[0]) for v in tokens[3:]]
     congruence = parse_congruence("\n".join(lines[1:]) + "\n", act)
     return make_certificate(act, element, forbidden, congruence)

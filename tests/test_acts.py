@@ -370,8 +370,8 @@ def test_closure_partial_oracle_across_families(name, params):
     "name", ["kozhukhov", "leftzero", "star_semilattice"]
 )
 def test_total_act_closures_agree(name):
-    # principal_closure (work-queue) and closure_partial (image-merging
-    # union-find) compute the same least congruence on total tables
+    # principal_closure and closure_partial compute the same least
+    # congruence on total tables, and on partial copies of them
     from actsep.congruences import principal_closure
     from actsep.families import build
 
@@ -380,7 +380,12 @@ def test_total_act_closures_agree(name):
     for seeds in ([(0, 1)], [(0, act.size - 1)], [(1, 2), (0, 3)]):
         closed = closure_partial(partial, seeds)
         assert principal_closure(act, seeds).partition == closed
+        assert closure_partial(act, seeds) == closed
         assert closed == naive_partial_closure(partial, seeds)
+    # the indecomposable components are the classes of the least congruence
+    # containing every pair (a, a*m)
+    edges = [(a, v) for a in act.carrier() for v in act.table[a]]
+    assert decompose(act) == naive_partial_closure(partial, edges).blocks()
 
 
 def test_closure_partial_fixed_point(small_corpus):
@@ -403,7 +408,11 @@ def test_is_closed_partition_witness():
     bad = partition_from_blocks(
         window.size, [[0, 1]] + [[x] for x in range(2, window.size)]
     )
-    assert is_closed_partition(window, bad) is not None
+    a, b, m = is_closed_partition(window, bad)
+    u, v = window.table[a][m], window.table[b][m]
+    assert bad.same(a, b)
+    assert u is not None and v is not None
+    assert not bad.same(u, v)
 
 
 def test_act_homomorphism_validation():

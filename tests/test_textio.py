@@ -104,7 +104,17 @@ def test_certificate_roundtrip():
     assert back.congruence.partition == cert.congruence.partition
 
 
+def test_certificate_elements_out_of_range():
+    act = regular_act(NULL2)
+    body = write_certificate(separate(act, 1, {3})).split("\n", 1)[1]
+    for header in ("separates -1 from 0", "separates 99 from 0", "separates 0 from 99"):
+        with pytest.raises(InvalidSpec):
+            parse_certificate(f"{header}\n{body}", act)
+
+
 def test_malformed_files():
+    with pytest.raises(MalformedTable, match="found 'x' in line 'order x'"):
+        parse_monoid("monoid m\norder x\nidentity 0\ntable\n0\n")
     with pytest.raises(MalformedTable):
         parse_monoid("monoid m\norder 2\nidentity 0\ntable\n0 1\n")
     with pytest.raises(MalformedTable):
