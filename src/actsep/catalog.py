@@ -6,6 +6,13 @@ Small monoids are found by identity-fixed table backtracking (complete by
 construction; the counts 1/2/7/35 are pinned in the tests) and then realized
 through the transformation closure of their right regular representation, so
 every catalog table is literally a monoid of transformations.
+
+Acts are enumerated by a depth-first search over the unknown table entries
+in row-major order.  Each value the search sets is propagated through the
+act equation by a work queue that checks only the equation triples the new
+entry wakes, never a rescan of the whole table; propagation only sets
+forced values, so the tables come out in row-major lexicographic order, as
+from the plain search.
 """
 
 from __future__ import annotations
@@ -193,8 +200,24 @@ def enumerate_acts(monoid: FiniteMonoid, size: int) -> Iterator[FiniteAct]:
     """All right actions of the monoid on a carrier of the given size,
     equivalently all its transformation representations on that set.
 
-    Backtracking over the unknown entries with fixpoint propagation of the
-    act equation; every yielded table satisfies both axioms by construction.
+    Depth-first search over the unknown entries in row-major order, each
+    tried with the values 0..size-1 in ascending order, so the tables come
+    out in strictly increasing row-major lexicographic order.  A value set
+    by the search is propagated through the act equation
+    t[t[a][m]][k] = t[a][m*k] by a work queue, the trail of entries set so
+    far.  When entry (a, j) becomes x, it wakes only the triples
+
+    - (a, j, k) for every k: t[x][k] against t[a][j*k];
+    - (a, m, k) for every m*k = j with t[a][m] defined: t[t[a][m]][k]
+      against x (by_product[j] lists those (m, k));
+
+    a triple with one side undefined sets it to the other side, which joins
+    the queue, and one with two different sides is a conflict.  Whichever
+    of t[a][m] and t[a][m*k] is set last wakes (a, m, k), so a drained
+    queue leaves every triple with both defined satisfied, t[t[a][m]][k]
+    included, and a complete table is an act; setting t[t[a][m]][k] itself
+    need wake nothing.  Propagation only sets forced values, so it skips no
+    act, and the yield order is that of the search without it.
     """
     n = monoid.order
     prod = monoid.table
@@ -202,34 +225,42 @@ def enumerate_acts(monoid: FiniteMonoid, size: int) -> Iterator[FiniteAct]:
     t: list[list[int]] = [[-1] * n for _ in range(size)]
     for a in range(size):
         t[a][e] = a
-    slots = [(a, m) for a in range(size) for m in range(n) if m != e]
+    # Triples with m = e or k = e hold for every defined entry, and the
+    # identity column is set before the search, so both are left out.
+    columns = [k for k in range(n) if k != e]
+    slots = [(a, m) for a in range(size) for m in columns]
+    by_product: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for m in columns:
+        for k in columns:
+            by_product[prod[m][k]].append((m, k))
 
     def propagate(trail: list[tuple[int, int]]) -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for a in range(size):
-                row = t[a]
-                for m in range(n):
-                    x = row[m]
-                    if x < 0:
-                        continue
-                    row_x = t[x]
-                    pm = prod[m]
-                    for k in range(n):
-                        y = row_x[k]
-                        z = row[pm[k]]
-                        if y < 0:
-                            if z >= 0:
-                                row_x[k] = z
-                                trail.append((x, k))
-                                changed = True
-                        elif z < 0:
-                            row[pm[k]] = y
-                            trail.append((a, pm[k]))
-                            changed = True
-                        elif y != z:
-                            return False
+        for a, j in trail:  # also visits the entries appended while it runs
+            row = t[a]
+            x = row[j]
+            row_x = t[x]
+            pj = prod[j]
+            for k in columns:
+                y = row_x[k]
+                z = row[pj[k]]
+                if y < 0:
+                    if z >= 0:
+                        row_x[k] = z
+                        trail.append((x, k))
+                elif z < 0:
+                    row[pj[k]] = y
+                    trail.append((a, pj[k]))
+                elif y != z:
+                    return False
+            for m, k in by_product[j]:
+                x2 = row[m]
+                if x2 >= 0:
+                    y = t[x2][k]
+                    if y < 0:
+                        t[x2][k] = x
+                        trail.append((x2, k))
+                    elif y != x:
+                        return False
         return True
 
     def rec(pos: int) -> Iterator[FiniteAct]:

@@ -119,11 +119,19 @@ def make_certificate(
 ) -> SeparationCertificate:
     forb = frozenset(forbidden)
     _check_separation_input(act, element, forb)
+    return _certificate(act, element, forb, congruence)
+
+
+def _certificate(
+    act: FiniteAct, element: int, forbidden: frozenset[int], congruence: Congruence
+) -> SeparationCertificate:
+    """make_certificate for an element and forbidden set that already passed
+    _check_separation_input; still asserts that the congruence separates."""
     block_of = congruence.partition.block_of
-    for x in forb:
+    for x in forbidden:
         if block_of[x] == block_of[element]:
             raise InvalidSpec(f"congruence does not separate {element} from {x}")
-    return SeparationCertificate(act, element, forb, congruence)
+    return SeparationCertificate(act, element, forbidden, congruence)
 
 
 def _separates(congruence: Congruence, element: int, forbidden: frozenset[int]) -> bool:
@@ -231,7 +239,7 @@ def separate(
     _check_separation_input(act, a, forb)
     _require_within_cap(act, [(a, forb)], max_index, cap)
     cong = _syntactic_search(act, _hit_masks(act), a, forb, max_index)
-    return None if cong is None else make_certificate(act, a, forb, cong)
+    return None if cong is None else _certificate(act, a, forb, cong)
 
 
 def minimal_separating_index(
@@ -307,7 +315,7 @@ def check_condition(
         cong = _syntactic_search(act, hits, a, forb, max_index)
         if cong is None:
             return ConditionReport(cond, act, False, tuple(certificates), (a, forb))
-        certificates.append(make_certificate(act, a, forb, cong))
+        certificates.append(_certificate(act, a, forb, cong))
     return ConditionReport(cond, act, True, tuple(certificates), None)
 
 

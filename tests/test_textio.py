@@ -1,6 +1,9 @@
+from itertools import islice
+
 import pytest
 
 from actsep.acts import regular_act
+from actsep.catalog import catalog_monoids, enumerate_acts
 from actsep.congruences import rees_congruence
 from actsep.errors import InvalidSpec, MalformedTable
 from actsep.families import build
@@ -39,11 +42,19 @@ def test_monoid_roundtrip_without_labels():
 
 
 def test_act_roundtrip():
-    act = regular_act(NULL2)
-    text = write_act(act)
-    back = parse_act(text, NULL2)
-    assert back.table == act.table
-    assert write_act(back) == text
+    # the regular act of NULL2, then every 97th act of the catalog corpus
+    # on carriers 1-4
+    corpus = (
+        act
+        for entry in catalog_monoids()
+        for size in range(1, 5)
+        for act in enumerate_acts(entry.monoid, size)
+    )
+    for act in (regular_act(NULL2), *islice(corpus, 0, None, 97)):
+        text = write_act(act)
+        back = parse_act(text, act.monoid)
+        assert back.table == act.table
+        assert write_act(back) == text
 
 
 def test_partial_act_roundtrip():
