@@ -58,6 +58,10 @@ class FiniteAct:
     def zeros(self) -> tuple[int, ...]:
         return tuple(a for a in self.carrier() if all(v == a for v in self.table[a]))
 
+    @cached_property
+    def _closure_rows(self) -> Sequence[Sequence[int]]:
+        return _rows_for_closure(self.monoid, self.table)
+
 
 @dataclass(frozen=True)
 class PartialAct:
@@ -75,6 +79,23 @@ class PartialAct:
 
     def carrier(self) -> range:
         return range(self.size)
+
+    @cached_property
+    def _closure_rows(self) -> Sequence[Sequence[int | None]]:
+        return _rows_for_closure(self.monoid, self.table)
+
+
+def _rows_for_closure(
+    monoid: FiniteMonoid, table: Sequence[Sequence[int | None]]
+) -> Sequence[Sequence[int | None]]:
+    """The columns closure_partial follows: each row restricted to the
+    monoid's generators when every entry is defined, the whole table when
+    one is not.  Cached per act, since a forcing argument closes many seed
+    sets over one act."""
+    if any(None in row for row in table):
+        return table
+    gens = monoid.generators
+    return tuple(tuple(row[g] for g in gens) for row in table)
 
 
 @dataclass(frozen=True)
@@ -101,7 +122,13 @@ def act_from_table(
     labels: Sequence[str] | None = None,
     name: str = "A",
 ) -> FiniteAct:
-    """Validate both act axioms exhaustively: a*1 = a and a*(mn) = (a*m)*n."""
+    """Validate both act axioms: a*1 = a, then a*(mk) = (a*m)*k for every
+    a, m and every k in the monoid's generating set.
+
+    Generator columns suffice: the k that satisfy the equation for all a
+    and m contain the identity (by the identity law) and are closed under
+    products (a*(m(kl)) = a*((mk)l) = (a*(mk))*l = ((a*m)*k)*l =
+    (a*m)*(kl)), and every element is a product of generators."""
     size = len(table)
     if size == 0:
         raise MalformedTable("empty carrier")
@@ -116,15 +143,7 @@ def act_from_table(
     for a in range(size):
         if table[a][e] != a:
             raise IdentityLawViolation(a)
-    mt = monoid.table
-    for a in range(size):
-        row = table[a]
-        for m in range(n):
-            am = table[row[m]]
-            prods = mt[m]
-            for k in range(n):
-                if row[prods[k]] != am[k]:
-                    raise AssociativityViolation(a, m, k)
+    _check_act_equation(monoid, table, monoid.generators)
     return FiniteAct(monoid, tuple(tuple(r) for r in table), _check_labels(labels, size), name)
 
 
@@ -135,7 +154,12 @@ def partial_act_from_table(
     name: str = "P",
 ) -> PartialAct:
     """Validate a partial act: defined entries in range, a*1 = a whenever
-    defined, and a*(mn) = (a*m)*n whenever all three entries are defined."""
+    defined, and a*(mk) = (a*m)*k whenever all three entries are defined.
+
+    A table with no undefined entry is an act and is checked over generator
+    columns k only, as in act_from_table.  Otherwise every column k is
+    checked: the argument that generators suffice composes entries, and an
+    undefined one breaks the chain."""
     size = len(table)
     if size == 0:
         raise MalformedTable("empty carrier")
@@ -150,19 +174,28 @@ def partial_act_from_table(
     for a in range(size):
         if table[a][e] is not None and table[a][e] != a:
             raise IdentityLawViolation(a)
+    total = not any(None in row for row in table)
+    _check_act_equation(monoid, table, monoid.generators if total else monoid.elements())
+    return PartialAct(monoid, tuple(tuple(r) for r in table), _check_labels(labels, size), name)
+
+
+def _check_act_equation(
+    monoid: FiniteMonoid, table: Sequence[Sequence[int | None]], columns: Sequence[int]
+) -> None:
+    """Raise AssociativityViolation at the first (a, m, k), k among the given
+    columns, where a*(mk) and (a*m)*k are both defined and differ."""
     mt = monoid.table
-    for a in range(size):
-        row = table[a]
-        for m in range(n):
-            x = row[m]
+    for a, row in enumerate(table):
+        for m, x in enumerate(row):
             if x is None:
                 continue
-            for k in range(n):
-                y = table[x][k]
-                z = row[mt[m][k]]
-                if y is not None and z is not None and y != z:
+            xrow = table[x]
+            prods = mt[m]
+            for k in columns:
+                y = xrow[k]
+                z = row[prods[k]]
+                if y != z and y is not None and z is not None:
                     raise AssociativityViolation(a, m, k)
-    return PartialAct(monoid, tuple(tuple(r) for r in table), _check_labels(labels, size), name)
 
 
 def act_homomorphism(source: FiniteAct, target: FiniteAct, mapping: Sequence[int]) -> ActHomomorphism:
@@ -453,6 +486,12 @@ def closure_partial(partial: PartialAct | FiniteAct, seeds: Iterable[tuple[int, 
     total act (no undefined entries) this is the least congruence containing
     the seeds.
 
+    On a total act only the generator columns are followed: if x ~ y forces
+    x*g ~ y*g for every generator g, then x*(g h) = (x*g)*h ~ (y*g)*h, and
+    so on, so x*m ~ y*m for every product m of generators, which is every m.
+    A table with an undefined entry keeps every column, since that chain
+    can pass through an undefined entry.  The columns are cached per act.
+
     Union-find where each class root keeps one defined image per column (its
     own row until the first merge copies it); merging two roots pushes every
     column where both images are defined and differ, so the fixed point is
@@ -467,7 +506,7 @@ def closure_partial(partial: PartialAct | FiniteAct, seeds: Iterable[tuple[int, 
             x = parent[x]
         return x
 
-    table = partial.table
+    table = partial._closure_rows
     images: list[list[int | None] | None] = [None] * size
     pending = [(a, b) for a, b in seeds]
     for a, b in pending:

@@ -86,6 +86,12 @@ class FiniteMonoid:
         raise InvalidSpec(f"element {x} has no two-sided inverse")
 
     @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """A generating set, greedy in element order (see _generators);
+        monoid_from_table computes it once and stores it here."""
+        return _generators(self.table, self.identity)
+
+    @cached_property
     def left_table(self) -> tuple[tuple[int, ...], ...]:
         """The transposed table: `left_table[a][m]` is m * a, so row a lists
         the images of a under left multiplication."""
@@ -126,16 +132,47 @@ def _check_square(table: Sequence[Sequence[int]]) -> None:
                 raise MalformedTable(f"entry {v!r} out of range [0, {n})")
 
 
-def _check_associative(table: Sequence[Sequence[int]]) -> None:
+def _generators(table: Sequence[Sequence[int]], identity: int) -> tuple[int, ...]:
+    """Greedy in element order: m joins when the right closure of the
+    identity under the earlier generators misses it.  The reached set grows
+    incrementally: a new generator g sends every reached x to x*g, and each
+    newly reached element is pushed through every generator once, so the
+    whole run costs O(order * generators).
+
+    On an associative table the right closure is the submonoid the earlier
+    generators generate.  monoid_from_table calls this before associativity
+    is known; Light's test there needs only that every element is a
+    left-bracketed product of generators, which the closure gives."""
+    reached = [False] * len(table)
+    reached[identity] = True
+    found = [identity]
+    gens: list[int] = []
+    for m in range(len(table)):
+        if reached[m]:
+            continue
+        gens.append(m)
+        pending = [table[x][m] for x in found]
+        while pending:
+            y = pending.pop()
+            if not reached[y]:
+                reached[y] = True
+                found.append(y)
+                pending.extend(table[y][g] for g in gens)
+    return tuple(gens)
+
+
+def _check_associative(table: Sequence[Sequence[int]], middles: Sequence[int]) -> None:
+    """Light's test: raise NotAssociative at the first (i, g, k) with
+    (i*g)*k != i*(g*k), for g among the given middle elements."""
     n = len(table)
     for i in range(n):
         ti = table[i]
-        for j in range(n):
-            tij = table[ti[j]]
-            tj = table[j]
+        for g in middles:
+            tig = table[ti[g]]
+            tg = table[g]
             for k in range(n):
-                if tij[k] != ti[tj[k]]:
-                    raise NotAssociative(i, j, k)
+                if tig[k] != ti[tg[k]]:
+                    raise NotAssociative(i, g, k)
 
 
 def monoid_from_table(
@@ -144,7 +181,15 @@ def monoid_from_table(
     labels: Sequence[str] | None = None,
     name: str = "M",
 ) -> FiniteMonoid:
-    """Validate a multiplication table exhaustively and wrap it.
+    """Validate a multiplication table and wrap it: square, identity law,
+    associativity, then labels.
+
+    Associativity is Light's test over the generating set G of
+    FiniteMonoid.generators: (i*g)*k = i*(g*k) for every i, k and g in G.
+    The middle elements that pass are closed under products (if a and b
+    pass, (x*(ab))*y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y)) and
+    contain the identity, and every element is a product of generators, so
+    all of them pass.  G is computed once and kept on the monoid.
 
     Raises MalformedTable, BadIdentity or NotAssociative with the witness.
     """
@@ -155,7 +200,8 @@ def monoid_from_table(
     for i in range(n):
         if table[identity][i] != i or table[i][identity] != i:
             raise BadIdentity(i)
-    _check_associative(table)
+    gens = _generators(table, identity)
+    _check_associative(table, gens)
     if labels is not None:
         if len(labels) != n:
             raise MalformedTable(f"{len(labels)} labels for order-{n} table")
@@ -163,7 +209,9 @@ def monoid_from_table(
             if not lab or any(c.isspace() for c in lab):
                 raise MalformedTable(f"label {lab!r} empty or contains whitespace")
         labels = tuple(labels)
-    return FiniteMonoid(tuple(tuple(row) for row in table), identity, labels, name)
+    monoid = FiniteMonoid(tuple(tuple(row) for row in table), identity, labels, name)
+    vars(monoid)["generators"] = gens
+    return monoid
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +263,10 @@ def adjoin_identity(
     name: str = "S1",
 ) -> FiniteMonoid:
     """S^1: a fresh identity is adjoined unconditionally at index 0 and the
-    original elements shift up by one."""
+    original elements shift up by one.  S^1 is associative exactly when S
+    is, so monoid_from_table checks S; a NotAssociative witness names S^1
+    indices."""
     _check_square(semigroup_table)
-    _check_associative(semigroup_table)
     n = len(semigroup_table)
     table = [[0] + [j + 1 for j in range(n)]]
     for i in range(n):

@@ -468,9 +468,17 @@ def disjoint_union_witness(
     overlap = forb & mine
     if overlap:
         raise XMeetsBlock(min(overlap))
+    return _two_block_certificate(act, mine, a, forb)
+
+
+def _two_block_certificate(
+    act: FiniteAct, mine: frozenset[int], a: int, forbidden: frozenset[int]
+) -> SeparationCertificate:
+    """The congruence mine | rest, for inputs already checked by the caller
+    and a forbidden set that misses the subact mine."""
     assignment = [0 if x in mine else 1 for x in act.carrier()]
     cong = verify_congruence(act, partition_from_assignment(assignment))
-    return make_certificate(act, a, forb, cong)
+    return _certificate(act, a, forbidden, cong)
 
 
 def disjoint_union_fallback(
@@ -488,7 +496,7 @@ def disjoint_union_fallback(
     mine = next(block for block in parts if a in block)
     inside = forb & mine
     if not inside:
-        return disjoint_union_witness(act, blocks, a, forb)
+        return _two_block_certificate(act, mine, a, forb)
     sub_act, embedding = subact_as_act(act, mine)
     pos = {x: i for i, x in enumerate(embedding)}
     sub_cert = separate(sub_act, pos[a], {pos[x] for x in inside}, cap=cap)
@@ -498,7 +506,7 @@ def disjoint_union_fallback(
         ("in", sub_blocks[pos[x]]) if x in pos else ("out",) for x in act.carrier()
     ]
     cong = verify_congruence(act, partition_from_assignment(keys))
-    return make_certificate(act, a, forb, cong)
+    return _certificate(act, a, forb, cong)
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,50 @@ def naive_partial_closure(partial, seeds) -> Partition:
     )
 
 
+def naive_is_associative(table) -> bool:
+    """Every triple (i, j, k) of a square table, all columns."""
+    n = len(table)
+    for i in range(n):
+        ti = table[i]
+        for j in range(n):
+            tij = table[ti[j]]
+            tj = table[j]
+            for k in range(n):
+                if tij[k] != ti[tj[k]]:
+                    return False
+    return True
+
+
+def naive_act_violation(monoid: FiniteMonoid, table):
+    """The first (a, m, k) over all columns where a*(mk) and (a*m)*k are
+    both defined and differ, or None; None entries are undefined."""
+    mt = monoid.table
+    n = monoid.order
+    for a in range(len(table)):
+        row = table[a]
+        for m in range(n):
+            x = row[m]
+            if x is None:
+                continue
+            for k in range(n):
+                y = table[x][k]
+                z = row[mt[m][k]]
+                if y is not None and z is not None and y != z:
+                    return (a, m, k)
+    return None
+
+
+def naive_submonoid(monoid: FiniteMonoid, gens) -> set[int]:
+    """The identity and the generators, closed by multiplying all pairs
+    until stable."""
+    elems = {monoid.identity, *gens}
+    while True:
+        new = {monoid.table[x][y] for x in elems for y in elems} - elems
+        if not new:
+            return elems
+        elems |= new
+
+
 def naive_acts(monoid: FiniteMonoid, size: int) -> list[tuple[tuple[int, ...], ...]]:
     """All act tables by filtering every table with the correct identity
     column; exponential, for cross-checking tiny cases only."""

@@ -349,12 +349,27 @@ def test_closure_partial_matches_naive_oracle():
     assert closure_partial(window, seeds) == naive_partial_closure(window, seeds)
 
 
+def test_closure_partial_keeps_every_column_on_partial_tables():
+    # over Z3 = <g> only g^2 is defined on 0 and 1, so merging them must
+    # merge 0*g^2 and 1*g^2 although g^2 is not a generator
+    z3 = cyclic_group(3)
+    act = partial_act_from_table(
+        z3, [[0, None, 2], [1, None, 3], [2, None, None], [3, None, None]]
+    )
+    assert z3.generators == (1,)
+    part = closure_partial(act, [(0, 1)])
+    assert part.same(2, 3)
+    assert part == naive_partial_closure(act, [(0, 1)])
+
+
 @pytest.mark.parametrize(
     "name,params",
     [
         ("bz_window", {"w": 8}),
         ("free_monogenic_act", {"w": 7}),
         ("n_times_g", {"n": 4, "g": 2}),
+        ("squarefree", {"n": 2}),
+        ("semilattice_act", {"n": 5}),
     ],
 )
 def test_closure_partial_oracle_across_families(name, params):

@@ -1,12 +1,20 @@
 """Wider differential checks: the pruned enumerations against naive
-generate-then-filter oracles on carriers beyond the small corpus, and the
-syntactic-congruence separation search against the congruence enumeration."""
+generate-then-filter oracles on carriers beyond the small corpus, the
+syntactic-congruence separation search against the congruence enumeration,
+and the generator-column validators against all-column oracles on every
+single-entry corruption of small tables."""
 
 import pytest
 
-from actsep.acts import act_from_table, regular_act
+from actsep.acts import act_from_table, partial_act_from_table, regular_act
 from actsep.catalog import catalog_monoids, enumerate_acts
 from actsep.congruences import all_congruences
+from actsep.errors import (
+    AssociativityViolation,
+    BadIdentity,
+    IdentityLawViolation,
+    NotAssociative,
+)
 from actsep.families import build
 from actsep.partitions import partition_from_assignment
 from actsep.separability import (
@@ -17,7 +25,13 @@ from actsep.separability import (
     separate,
     sigma_a,
 )
-from oracles import naive_acts, naive_congruences
+from actsep.monoids import cyclic_group, monoid_from_table
+from oracles import (
+    naive_act_violation,
+    naive_acts,
+    naive_congruences,
+    naive_is_associative,
+)
 
 BOUNDS = (None, 1, 2, 3)
 
@@ -160,3 +174,91 @@ def test_certificates_are_syntactic_congruences():
                 partition = cert.congruence.partition
                 block = frozenset(partition.block(cert.element))
                 assert partition == _syntactic_partition(act, block)
+
+
+# ---------------------------------------------------------------------------
+# validation over generator columns against the all-column oracles
+
+
+def _corruptions(table, values):
+    """Every table that differs from the given one in exactly one entry."""
+    for i, row in enumerate(table):
+        for j, old in enumerate(row):
+            for new in values:
+                if new != old:
+                    out = [list(r) for r in table]
+                    out[i][j] = new
+                    yield out
+
+
+def _small_monoids():
+    return [e.monoid for e in catalog_monoids() if e.monoid.order <= 3]
+
+
+def test_monoid_validation_matches_naive_on_corruptions():
+    rejected = 0
+    for monoid in _small_monoids():
+        e = monoid.identity
+        for t in _corruptions(monoid.table, monoid.elements()):
+            identity_ok = all(t[e][x] == x == t[x][e] for x in monoid.elements())
+            try:
+                monoid_from_table(t, e)
+            except BadIdentity:
+                assert not identity_ok
+            except NotAssociative as exc:
+                rejected += 1
+                assert identity_ok and not naive_is_associative(t)
+                i, j, k = exc.triple
+                assert t[t[i][j]][k] != t[i][t[j][k]]
+            else:
+                assert identity_ok and naive_is_associative(t)
+    assert rejected > 0
+
+
+def _check_act_validator(validate, monoid, t):
+    """validate accepts t exactly when the identity law (where defined) and
+    the all-column oracle do; a raised witness is a real violation.  Returns
+    whether the act equation rejected t."""
+    e = monoid.identity
+    identity_ok = all(row[e] in (None, a) for a, row in enumerate(t))
+    expected = naive_act_violation(monoid, t)
+    try:
+        validate(monoid, t)
+    except IdentityLawViolation:
+        assert not identity_ok
+    except AssociativityViolation as exc:
+        assert identity_ok and expected is not None
+        a, m, k = exc.triple
+        y, z = t[t[a][m]][k], t[a][monoid.table[m][k]]
+        assert y is not None and z is not None and y != z
+        return True
+    else:
+        assert identity_ok and expected is None
+    return False
+
+
+def test_act_validation_matches_naive_on_corruptions():
+    rejected = 0
+    for monoid in _small_monoids():
+        for size in (1, 2):
+            for act in enumerate_acts(monoid, size):
+                for t in _corruptions(act.table, range(size)):
+                    rejects = _check_act_validator(act_from_table, monoid, t)
+                    assert _check_act_validator(partial_act_from_table, monoid, t) == rejects
+                    rejected += rejects
+                for t in _corruptions(act.table, [None]):
+                    rejected += _check_act_validator(partial_act_from_table, monoid, t)
+    assert rejected > 0
+
+
+def test_partial_act_violation_outside_generator_columns():
+    # over Z3 = <g>, the only violation sits in column g^2: 1*(g*g^2) = 1*1
+    # = 1, but (1*g)*g^2 = 0*g^2 = 0; the undefined entry 0*g keeps every
+    # column in the check
+    z3 = cyclic_group(3)
+    table = [[0, None, 0], [1, 0, 0]]
+    assert z3.generators == (1,)
+    assert naive_act_violation(z3, table) == (1, 1, 2)
+    with pytest.raises(AssociativityViolation) as exc:
+        partial_act_from_table(z3, table)
+    assert exc.value.triple == (1, 1, 2)

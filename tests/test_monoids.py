@@ -35,7 +35,7 @@ from actsep.monoids import (
     transformation_closure,
     trivial_monoid,
 )
-from oracles import naive_rank, naive_transformation_closure
+from oracles import naive_rank, naive_submonoid, naive_transformation_closure
 
 
 def test_trivial_monoid():
@@ -72,6 +72,65 @@ def test_not_associative_witness():
     i, j, k = exc.value.triple
     t = table
     assert t[t[i][j]][k] != t[i][t[j][k]]
+
+
+# ---------------------------------------------------------------------------
+# generating sets
+
+
+def _generator_test_monoids():
+    from actsep.catalog import catalog_monoids
+    from actsep.families import FAMILIES, build
+
+    out = [(entry.name, entry.monoid) for entry in catalog_monoids()]
+    for name, (_, ranges) in FAMILIES.items():
+        top = {key: hi for key, (lo, hi) in ranges.items()}
+        out.append((name, build(name, top).monoid))
+    return out
+
+
+def test_generators_generate_and_are_irredundant():
+    monoids = _generator_test_monoids()
+    assert len(monoids) == 49 + 10
+    for name, monoid in monoids:
+        gens = monoid.generators
+        assert list(gens) == sorted(set(gens)), name
+        # the right closure of the generators from the identity
+        reached = {monoid.identity}
+        frontier = [monoid.identity]
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = monoid.table[x][g]
+                if y not in reached:
+                    reached.add(y)
+                    frontier.append(y)
+        assert reached == set(monoid.elements()), name
+        for i, g in enumerate(gens):
+            assert g not in naive_submonoid(monoid, gens[:i]), name
+
+
+def test_generators_pinned_counts():
+    from actsep.families import build
+
+    cases = [
+        ("free_monogenic_act", {"w": 60}, 1),
+        ("squarefree", {"n": 6}, 3),
+        ("bz_window", {"w": 40}, 1),
+        ("n_times_g", {"n": 12, "g": 3}, 3),
+        ("semilattice_act", {"n": 20}, 19),
+    ]
+    for name, params, count in cases:
+        assert len(build(name, params).monoid.generators) == count, name
+    assert cyclic_group(5).generators == (1,)
+    assert trivial_monoid().generators == ()
+
+
+def test_generators_cached_by_validation():
+    m = monoid_from_table([[0, 1, 2], [1, 2, 0], [2, 0, 1]], 0)
+    assert "generators" in vars(m)
+    bare = FiniteMonoid(m.table, m.identity)
+    assert "generators" not in vars(bare) and bare.generators == m.generators == (1,)
 
 
 # ---------------------------------------------------------------------------
