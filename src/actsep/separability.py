@@ -15,7 +15,6 @@ from .acts import (
     FiniteAct,
     cyclic_subacts,
     preorder_and_green,
-    regular_act,
     require_subact,
     subact_as_act,
     subacts,
@@ -23,7 +22,6 @@ from .acts import (
 from .congruences import (
     Congruence,
     DEFAULT_SEARCH_CAP,
-    enumerate_congruences,
     equality_congruence,
     quotient,
     quotient_monoid,
@@ -134,12 +132,6 @@ def _certificate(
     return SeparationCertificate(act, element, forbidden, congruence)
 
 
-def _separates(congruence: Congruence, element: int, forbidden: frozenset[int]) -> bool:
-    block_of = congruence.partition.block_of
-    be = block_of[element]
-    return all(block_of[x] != be for x in forbidden)
-
-
 def _check_separation_input(act: FiniteAct, a: int, forbidden: frozenset[int]) -> None:
     if not 0 <= a < act.size:
         raise InvalidSpec(f"element {a} out of carrier range")
@@ -153,7 +145,7 @@ def _check_separation_input(act: FiniteAct, a: int, forbidden: frozenset[int]) -
 
 
 def _require_within_cap(
-    act: FiniteAct,
+    size: int,
     instances: Sequence[tuple[int, frozenset[int]]],
     max_index: int | None,
     cap: int,
@@ -162,7 +154,7 @@ def _require_within_cap(
     cap candidate sets: 2^(n-|X|-1) each, none at all below bound 2."""
     if max_index is not None and max_index < 2:
         return
-    total = sum(1 << (act.size - len(forb) - 1) for _, forb in instances)
+    total = sum(1 << (size - len(forb) - 1) for _, forb in instances)
     if total > cap:
         raise SearchSpaceTooLarge(total, cap)
 
@@ -176,36 +168,25 @@ def _hit_masks(act: FiniteAct) -> list[list[int]]:
     return hits
 
 
-def _syntactic_search(
-    act: FiniteAct,
-    hits: list[list[int]],
-    a: int,
-    forbidden: frozenset[int],
-    max_index: int | None,
-) -> Congruence | None:
-    """Minimal separation by syntactic congruences.
+def _two_sided_hit_masks(monoid: FiniteMonoid) -> list[list[int]]:
+    """hits[y][x] has bit m*|N|+k set when m*x*k = y: the hit masks whose
+    sigma_C is the two-sided syntactic congruence of C in the monoid."""
+    n = monoid.order
+    table = monoid.table
+    hits = [[0] * n for _ in range(n)]
+    for m, row in enumerate(table):
+        for x, mx in enumerate(row):
+            for k, y in enumerate(table[mx], start=m * n):
+                hits[y][x] |= 1 << k
+    return hits
 
-    For a set C of carrier elements, sigma_C relates x and y iff, for every
-    m, x*m lies in C exactly when y*m does: the largest congruence in which C
-    is a union of classes.  If a congruence separates a from X and C is the
-    class of a, then sigma_C contains it and still separates; so every
-    minimal-index separating congruence is some sigma_C with a in C and C
-    disjoint from X, and only those 2^(n-|X|-1) sets need checking.  For
-    C = {a}, sigma_C is the bracket congruence sigma_a.
 
-    With hits = _hit_masks(act), the key of x under C (the m with x*m in C)
-    is the OR of hits[y][x] over y in C.  For a fixed x these masks are
-    disjoint, so adding or removing y is an XOR with hits[y], and walking the
-    candidate sets in Gray-code order costs one XOR per element and step.
-
-    Returns the minimal-index sigma_C, ties broken by the lexicographically
-    least block_of (the first in restricted-growth-string order), or None
-    when that index exceeds max_index."""
-    size = act.size
-    bound = size if max_index is None else max_index
-    if bound < 2:  # one block cannot separate a from a non-empty X
-        return None
-    free = [y for y in range(size) if y != a and y not in forbidden]
+def _walk_alone(
+    hits: list[list[int]], a: int, forbidden: frozenset[int], bound: int
+) -> tuple[int, ...] | None:
+    """The least-index sigma_C over the sets C with a in C and C disjoint
+    from X, walked in Gray-code order; its block_of, or None above bound."""
+    free = [y for y in range(len(hits)) if y != a and y not in forbidden]
     keys = hits[a]
     best_index = bound
     best: tuple[int, ...] | None = None
@@ -218,7 +199,117 @@ def _syntactic_search(
             block_of = normalize_block_ids(keys)
             if best is None or index < best_index or block_of < best:
                 best_index, best = index, block_of
-    return None if best is None else Congruence(act, Partition(best))
+    return best
+
+
+class _SigmaBatch:
+    """Minimal separation by syntactic congruences, for a batch of instances.
+
+    For a set C of carrier elements, sigma_C relates x and y iff, for every
+    m, x*m lies in C exactly when y*m does: the largest congruence in which C
+    is a union of classes.  If a congruence separates a from X and C is the
+    class of a, then sigma_C contains it and still separates; so every
+    minimal-index separating congruence is some sigma_C with a in C and C
+    disjoint from X, and only those 2^(n-|X|-1) sets need checking.  For
+    C = {a}, sigma_C is the bracket congruence sigma_a.  With the two-sided
+    masks of _two_sided_hit_masks the same argument gives the minimal
+    two-sided congruences of a monoid.
+
+    With hits = _hit_masks(act), the key of x under C (the m with x*m in C)
+    is the OR of hits[y][x] over y in C.  For a fixed x these masks are
+    disjoint, so adding or removing y is an XOR with hits[y], and walking
+    sets in Gray-code order costs one XOR per element and step.
+
+    sigma_C depends on C alone, so one walk serves every instance: it goes
+    over the subsets of U, the carrier minus the elements that every
+    instance forbids, and records the index of each sigma_C in a table by
+    the bitmask of C.  An instance (a, X) then takes its minimum over the
+    submasks of that table that contain a and miss X.  When the table
+    (2^|U| sets) would be larger than the instances' own candidate sets
+    together (the sum of 2^(n-|X|-1)), each instance walks alone instead;
+    a single instance always does, and so does a carrier of more than 255
+    elements, whose indices do not fit the byte table.  So no batch walks
+    more sets than that sum, the estimate that the search cap bounds, and
+    the instances read the table once per candidate set.
+
+    solve returns the block_of of the minimal-index sigma_C, ties broken by
+    the lexicographically least block_of (the first in restricted-growth-
+    string order), or None when that index exceeds max_index.  With the
+    table only tied sets are normalised, each at most once per batch."""
+
+    def __init__(
+        self,
+        hits: list[list[int]],
+        instances: Sequence[tuple[int, frozenset[int]]],
+        max_index: int | None,
+    ):
+        size = len(hits)
+        self.hits = hits
+        self.bound = size if max_index is None else max_index
+        self.table: bytearray | None = None
+        if self.bound < 2 or not instances:  # one block cannot separate
+            return
+        free = [y for y in range(size) if not all(y in forb for _, forb in instances)]
+        own = sum(1 << (size - len(forb) - 1) for _, forb in instances)
+        if 1 << len(free) > own or size > 255:
+            return
+        self.free = free
+        self.bit = {y: 1 << i for i, y in enumerate(free)}
+        self.table = bytearray(1 << len(free))
+        self.blocks: dict[int, tuple[int, ...]] = {}
+        keys = [0] * size
+        c = 0
+        for step in range(1 << len(free)):
+            if step:
+                i = (step & -step).bit_length() - 1
+                keys = list(map(xor, keys, hits[free[i]]))
+                c ^= 1 << i
+            self.table[c] = len(set(keys))
+
+    def _ties(self, a: int, forbidden: frozenset[int]) -> list[int]:
+        """The masks C with a in C, C disjoint from X, and the least index of
+        sigma_C, when that index is within the bound."""
+        table, bit = self.table, self.bit
+        own = bit[a]
+        allowed = (len(table) - 1) & ~own
+        for x in forbidden:
+            allowed &= ~bit.get(x, 0)
+        best = self.bound
+        ties: list[int] = []
+        sub = allowed
+        while True:
+            index = table[sub | own]
+            if index < best:
+                best, ties = index, [sub | own]
+            elif index == best:
+                ties.append(sub | own)
+            if not sub:
+                return ties
+            sub = (sub - 1) & allowed
+
+    def _block_of(self, c: int) -> tuple[int, ...]:
+        block_of = self.blocks.get(c)
+        if block_of is None:
+            rows = [self.hits[y] for i, y in enumerate(self.free) if c >> i & 1]
+            # the masks of one column are disjoint, so their sum is their OR
+            block_of = self.blocks[c] = normalize_block_ids(map(sum, zip(*rows)))
+        return block_of
+
+    def solve(self, a: int, forbidden: frozenset[int]) -> tuple[int, ...] | None:
+        if self.bound < 2:
+            return None
+        if self.table is None:
+            return _walk_alone(self.hits, a, forbidden, self.bound)
+        ties = self._ties(a, forbidden)
+        return min(map(self._block_of, ties)) if ties else None
+
+    def min_index(self, a: int, forbidden: frozenset[int]) -> int | None:
+        """The index of solve(a, X), without normalising ties on the table."""
+        if self.table is None:
+            best = self.solve(a, forbidden)
+            return None if best is None else max(best) + 1
+        ties = self._ties(a, forbidden)
+        return self.table[ties[0]] if ties else None
 
 
 def separate(
@@ -237,9 +328,9 @@ def separate(
     candidate sets exceed cap."""
     forb = frozenset(forbidden)
     _check_separation_input(act, a, forb)
-    _require_within_cap(act, [(a, forb)], max_index, cap)
-    cong = _syntactic_search(act, _hit_masks(act), a, forb, max_index)
-    return None if cong is None else _certificate(act, a, forb, cong)
+    _require_within_cap(act.size, [(a, forb)], max_index, cap)
+    best = _SigmaBatch(_hit_masks(act), [(a, forb)], max_index).solve(a, forb)
+    return None if best is None else _certificate(act, a, forb, Congruence(act, Partition(best)))
 
 
 def minimal_separating_index(
@@ -267,8 +358,13 @@ class ConditionReport:
 
 
 def _condition_instances(
-    act: FiniteAct, condition: str, subact_cap: int
+    act: FiniteAct,
+    condition: str,
+    subact_cap: int,
+    all_subacts: Sequence[frozenset[int]] | None = None,
 ) -> list[tuple[int, frozenset[int]]]:
+    """The instances (a, X) of one condition, in order.  SSS lists the
+    subacts unless all_subacts, subacts(act, cap=subact_cap), is given."""
     out: list[tuple[int, frozenset[int]]] = []
     if condition == "RF":
         for a in act.carrier():
@@ -280,7 +376,9 @@ def _condition_instances(
                 if a not in sub:
                     out.append((a, sub))
     elif condition == "SSS":
-        for sub in subacts(act, cap=subact_cap):
+        if all_subacts is None:
+            all_subacts = subacts(act, cap=subact_cap)
+        for sub in all_subacts:
             for a in act.carrier():
                 if a not in sub:
                     out.append((a, sub))
@@ -294,6 +392,48 @@ def _condition_instances(
     return out
 
 
+def _check_conditions(
+    act: FiniteAct,
+    conditions: Sequence[str],
+    max_index: int | None,
+    cap: int,
+    subact_cap: int,
+    all_subacts: Sequence[frozenset[int]] | None = None,
+) -> dict[str, ConditionReport]:
+    """check_condition for several conditions at once.  The cap bounds each
+    condition's candidate sets on its own, and every condition is checked
+    before any instance is solved; the instances of all the conditions then
+    share one _SigmaBatch, so one walk of the syntactic congruences serves
+    them all.  Each condition stops at its first instance with no
+    separating congruence within max_index."""
+    batch = {}
+    for cond in conditions:
+        instances = _condition_instances(act, cond, subact_cap, all_subacts)
+        _require_within_cap(act.size, instances, max_index, cap)
+        batch[cond] = instances
+    solver = _SigmaBatch(
+        _hit_masks(act), [inst for instances in batch.values() for inst in instances], max_index
+    )
+    congruences: dict[tuple[int, ...], Congruence] = {}
+    reports = {}
+    for cond, instances in batch.items():
+        certificates: list[SeparationCertificate] = []
+        counterexample = None
+        for a, forb in instances:
+            best = solver.solve(a, forb)
+            if best is None:
+                counterexample = (a, forb)
+                break
+            cong = congruences.get(best)
+            if cong is None:
+                cong = congruences[best] = Congruence(act, Partition(best))
+            certificates.append(_certificate(act, a, forb, cong))
+        reports[cond] = ConditionReport(
+            cond, act, counterexample is None, tuple(certificates), counterexample
+        )
+    return reports
+
+
 def check_condition(
     act: FiniteAct,
     condition: str,
@@ -301,22 +441,13 @@ def check_condition(
     cap: int = DEFAULT_SEARCH_CAP,
     subact_cap: int = DEFAULT_SUBACT_CAP,
 ) -> ConditionReport:
-    """Decide one of RF/WSS/SSS/CS by solving every instance with the minimal
-    separation search of separate(), in instance order.  The cap bounds the
-    candidate sets of all instances together, checked before any is solved;
-    a CS instance has exactly one, so CS reduces to the bracket
+    """Decide one of RF/WSS/SSS/CS by solving every instance, in instance
+    order, with the minimal separation search of separate().  The cap bounds
+    the candidate sets of all instances together, checked before any is
+    solved; a CS instance has exactly one, so CS reduces to the bracket
     congruences."""
     cond = condition.upper()
-    instances = _condition_instances(act, cond, subact_cap)
-    _require_within_cap(act, instances, max_index, cap)
-    hits = _hit_masks(act)
-    certificates: list[SeparationCertificate] = []
-    for a, forb in instances:
-        cong = _syntactic_search(act, hits, a, forb, max_index)
-        if cong is None:
-            return ConditionReport(cond, act, False, tuple(certificates), (a, forb))
-        certificates.append(_certificate(act, a, forb, cong))
-    return ConditionReport(cond, act, True, tuple(certificates), None)
+    return _check_conditions(act, (cond,), max_index, cap, subact_cap)[cond]
 
 
 # ---------------------------------------------------------------------------
@@ -606,35 +737,46 @@ class CorrespondenceReport:
         )
 
 
-def _monoid_conditions(n_monoid: FiniteMonoid, cap: int) -> dict[str, bool]:
-    """Brute-force monoid-side separability: a monoid homomorphism into a
-    finite monoid is exactly a finite-index two-sided congruence."""
-    reg = regular_act(n_monoid)
-    two_sided = [
-        c for c in enumerate_congruences(reg, cap=cap) if two_sided_violation(c) is None
-    ]
-
-    def separable(a: int, forbidden: frozenset[int]) -> bool:
-        return any(_separates(c, a, forbidden) for c in two_sided)
-
-    size = n_monoid.order
-    rf = all(
-        separable(a, frozenset({b})) for a in range(size) for b in range(a + 1, size)
+def _monoid_conditions(
+    n_monoid: FiniteMonoid,
+    act_certificates: Mapping[str, Sequence[SeparationCertificate]],
+    cap: int,
+) -> dict[str, bool]:
+    """Monoid-side separability: a monoid homomorphism of N into a finite
+    monoid is exactly a finite-index two-sided congruence, and the minimal
+    one separating a from X is the two-sided syntactic congruence of some C
+    with a in C and C disjoint from X.  So every instance goes through the
+    same _SigmaBatch as the act side, on _two_sided_hit_masks(N), with the
+    cap bounding each condition as there.  The instances are those of the
+    act-side certificates of each condition, whose carrier labels are N's.
+    Right congruences include the two-sided ones, so no act-side minimal
+    index may exceed the monoid-side one; a larger one raises
+    InternalInvariantViolation."""
+    instances = {
+        cond: [(cert.element, cert.forbidden) for cert in certs]
+        for cond, certs in act_certificates.items()
+    }
+    for cond_instances in instances.values():
+        _require_within_cap(n_monoid.order, cond_instances, None, cap)
+    solver = _SigmaBatch(
+        _two_sided_hit_masks(n_monoid),
+        [inst for cond_instances in instances.values() for inst in cond_instances],
+        None,
     )
-    wss = all(
-        separable(a, ideal)
-        for ideal in cyclic_subacts(reg)
-        for a in range(size)
-        if a not in ideal
-    )
-    ideals = [frozenset(i) for i in right_ideals(n_monoid)]
-    sss = all(
-        separable(a, ideal) for ideal in ideals for a in range(size) if a not in ideal
-    )
-    cs = all(
-        separable(a, frozenset(range(size)) - {a}) for a in range(size) if size > 1
-    )
-    return {"RF": rf, "WSS": wss, "SSS": sss, "CS": cs}
+    holds = {}
+    for cond, certs in act_certificates.items():
+        holds[cond] = True
+        for cert in certs:
+            two_sided = solver.min_index(cert.element, cert.forbidden)
+            if two_sided is None:
+                holds[cond] = False
+            elif cert.quotient_size > two_sided:
+                raise InternalInvariantViolation(
+                    f"{cond}: act-side minimal index {cert.quotient_size} exceeds the "
+                    f"two-sided one {two_sided} separating {cert.element} "
+                    f"from {sorted(cert.forbidden)}"
+                )
+    return holds
 
 
 def act_monoid_correspondence(
@@ -644,15 +786,19 @@ def act_monoid_correspondence(
     monoid_side: bool | None = None,
 ) -> CorrespondenceReport:
     """For N = M/rho: subacts of the act M/rho are the right ideals of N, and
-    each act-side separability condition matches its monoid-side analogue,
-    with both sides computed independently by brute force.  A right-only
-    congruence checks the bijection alone, against the rho-saturated right
-    ideals of M; requesting monoid_side on such input raises
-    NotTwoSidedCongruence."""
+    each act-side separability condition matches its monoid-side analogue.
+    The act side solves RF, WSS, SSS and CS of M/rho in one batch of
+    minimal right-congruence separations; the monoid side finds the minimal
+    two-sided congruence of N for the same instances (the carrier labels of
+    M/rho and N coincide) and asserts, per instance, that the act-side index
+    is no larger.  The cap bounds the candidate sets of each condition on
+    both sides; no congruence is enumerated.  A right-only congruence checks
+    the bijection alone, against the rho-saturated right ideals of M;
+    requesting monoid_side on such input raises NotTwoSidedCongruence."""
     if rho.act.table != monoid.table:
         raise NotACongruence("rho must be a right congruence on the monoid")
     act, proj = quotient(rho.act, rho)
-    act_subacts = set(subacts(act))
+    act_subacts = subacts(act)
     violation = two_sided_violation(rho)
     if monoid_side and violation is not None:
         raise NotTwoSidedCongruence(*violation)
@@ -666,19 +812,19 @@ def act_monoid_correspondence(
                 saturated.add(classes)
         return CorrespondenceReport(
             two_sided=False,
-            subacts_match_right_ideals=act_subacts == saturated,
+            subacts_match_right_ideals=set(act_subacts) == saturated,
             act_conditions=None,
             monoid_conditions=None,
         )
     n_monoid = quotient_monoid(monoid, rho)
     n_ideals = {frozenset(i) for i in right_ideals(n_monoid)}
-    act_conditions = {
-        c: check_condition(act, c, cap=cap).holds for c in CONDITIONS
-    }
-    monoid_conditions = _monoid_conditions(n_monoid, cap)
+    reports = _check_conditions(act, CONDITIONS, None, cap, DEFAULT_SUBACT_CAP, act_subacts)
+    monoid_conditions = _monoid_conditions(
+        n_monoid, {c: r.certificates for c, r in reports.items()}, cap
+    )
     return CorrespondenceReport(
         two_sided=True,
-        subacts_match_right_ideals=act_subacts == n_ideals,
-        act_conditions=act_conditions,
+        subacts_match_right_ideals=set(act_subacts) == n_ideals,
+        act_conditions={c: r.holds for c, r in reports.items()},
         monoid_conditions=monoid_conditions,
     )

@@ -158,7 +158,11 @@ def parse_congruence(text: str, act: FiniteAct) -> Congruence:
     if len(rows) != count:
         raise MalformedTable(f"expected {count} class lines, found {len(rows)}")
     blocks = [[_int(v, row) for v in row.split()] for row in rows]
-    return verify_congruence(act, partition_from_blocks(act.size, blocks))
+    try:
+        partition = partition_from_blocks(act.size, blocks)
+    except ValueError as exc:
+        raise MalformedTable(f"classes do not partition the carrier: {exc}") from exc
+    return verify_congruence(act, partition)
 
 
 def write_certificate(cert: SeparationCertificate) -> str:

@@ -52,6 +52,12 @@ def naive_congruences(act: FiniteAct) -> list[Partition]:
     return out
 
 
+def separates(congruence, element: int, forbidden) -> bool:
+    """Whether the congruence puts element in a class that misses forbidden."""
+    block_of = congruence.partition.block_of
+    return all(block_of[x] != block_of[element] for x in forbidden)
+
+
 def naive_min_separating_index(act: FiniteAct, a: int, forbidden) -> int:
     forb = set(forbidden)
     best = None

@@ -1,14 +1,23 @@
 """Wider differential checks: the pruned enumerations against naive
 generate-then-filter oracles on carriers beyond the small corpus, the
-syntactic-congruence separation search against the congruence enumeration,
-and the generator-column validators against all-column oracles on every
+syntactic-congruence separation search against the congruence enumeration
+(right congruences of acts, and two-sided congruences of monoids), and the
+generator-column validators against all-column oracles on every
 single-entry corruption of small tables."""
 
 import pytest
 
 from actsep.acts import act_from_table, partial_act_from_table, regular_act
 from actsep.catalog import catalog_monoids, enumerate_acts
-from actsep.congruences import all_congruences
+from actsep.congruences import (
+    DEFAULT_SEARCH_CAP,
+    all_congruences,
+    enumerate_congruences,
+    quotient,
+    quotient_monoid,
+    two_sided_violation,
+    verify_congruence,
+)
 from actsep.errors import (
     AssociativityViolation,
     BadIdentity,
@@ -16,11 +25,14 @@ from actsep.errors import (
     NotAssociative,
 )
 from actsep.families import build
-from actsep.partitions import partition_from_assignment
+from actsep.acts import DEFAULT_SUBACT_CAP
+from actsep.partitions import Partition, partition_from_assignment
 from actsep.separability import (
     CONDITIONS,
+    _check_conditions,
     _condition_instances,
-    _separates,
+    _SigmaBatch,
+    _two_sided_hit_masks,
     check_condition,
     separate,
     sigma_a,
@@ -31,6 +43,7 @@ from oracles import (
     naive_acts,
     naive_congruences,
     naive_is_associative,
+    separates,
 )
 
 BOUNDS = (None, 1, 2, 3)
@@ -112,7 +125,7 @@ def _reference(congs, a, forbidden, bound):
     that separates, from the full enumeration; None above the bound."""
     best = None
     for cong in congs:
-        if _separates(cong, a, forbidden) and (best is None or cong.index < best.index):
+        if separates(cong, a, forbidden) and (best is None or cong.index < best.index):
             best = cong
     if bound is not None and best.index > bound:
         return None
@@ -174,6 +187,67 @@ def test_certificates_are_syntactic_congruences():
                 partition = cert.congruence.partition
                 block = frozenset(partition.block(cert.element))
                 assert partition == _syntactic_partition(act, block)
+
+
+# ---------------------------------------------------------------------------
+# the act/monoid correspondence: minimal two-sided separation against the
+# two-sided congruences of the enumeration, and one batch against one call
+# per condition
+
+
+def _two_sided_quotients():
+    """(N, M/rho) for every two-sided congruence rho on the regular act of
+    each catalog monoid of order <= 4; the carrier labels of both are the
+    classes of rho."""
+    for entry in catalog_monoids():
+        if entry.monoid.order > 4:
+            continue
+        for rho in all_congruences(regular_act(entry.monoid)):
+            if two_sided_violation(rho) is None:
+                yield quotient_monoid(entry.monoid, rho), quotient(rho.act, rho)[0]
+
+
+def test_two_sided_search_matches_enumeration():
+    checked = 0
+    for n_monoid, act in _two_sided_quotients():
+        reg = regular_act(n_monoid)
+        two_sided = [c for c in enumerate_congruences(reg) if two_sided_violation(c) is None]
+        instances = {cond: _condition_instances(act, cond, 1 << 16) for cond in CONDITIONS}
+        batch = _SigmaBatch(
+            _two_sided_hit_masks(n_monoid), [i for v in instances.values() for i in v], None
+        )
+        for cond, cond_instances in instances.items():
+            act_side = check_condition(act, cond).certificates
+            for (a, forbidden), cert in zip(cond_instances, act_side, strict=True):
+                oracle = min(c.index for c in two_sided if separates(c, a, forbidden))
+                assert batch.min_index(a, forbidden) == oracle
+                winner = verify_congruence(reg, Partition(batch.solve(a, forbidden)))
+                assert winner.index == oracle
+                assert two_sided_violation(winner) is None
+                assert separates(winner, a, forbidden)
+                assert cert.quotient_size <= oracle
+                checked += 1
+    assert checked > 1000
+
+
+def _fields(cert):
+    return cert.element, cert.forbidden, cert.congruence.partition.block_of
+
+
+def test_batched_reports_match_single_condition_calls():
+    for _, act in _two_sided_quotients():
+        for bound in BOUNDS:
+            reports = _check_conditions(
+                act, CONDITIONS, bound, DEFAULT_SEARCH_CAP, DEFAULT_SUBACT_CAP
+            )
+            for cond in CONDITIONS:
+                single = check_condition(act, cond, max_index=bound)
+                batched = reports[cond]
+                assert batched.holds == single.holds
+                assert batched.counterexample == single.counterexample
+                assert list(map(_fields, batched.certificates)) == list(
+                    map(_fields, single.certificates)
+                )
 
 
 # ---------------------------------------------------------------------------

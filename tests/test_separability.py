@@ -15,6 +15,7 @@ from actsep.congruences import (
 )
 from actsep.errors import (
     EmptyForbiddenSet,
+    InternalInvariantViolation,
     InvalidSpec,
     NotAZero,
     NotClifford,
@@ -37,6 +38,8 @@ from actsep.monoids import (
 )
 from actsep.partitions import partition_from_blocks
 from actsep.separability import (
+    SeparationCertificate,
+    _monoid_conditions,
     act_monoid_correspondence,
     bracket_profile,
     check_condition,
@@ -51,7 +54,7 @@ from actsep.separability import (
     separate,
     sigma_a,
 )
-from oracles import naive_min_separating_index
+from oracles import naive_min_separating_index, separates
 
 
 NULL1 = null_adjoined(1)  # {1, s, z}
@@ -193,8 +196,6 @@ def test_wss_equals_two_generator_subact_checks(small_corpus):
     # weak subact separability via cyclic subacts agrees with checking
     # subacts generated by at most two elements, and the meet of the two
     # cyclic certificates is itself a separating congruence
-    from actsep.separability import _separates
-
     for act in small_corpus[::37]:
         wss = check_condition(act, "wss")
         assert wss.holds
@@ -205,11 +206,11 @@ def test_wss_equals_two_generator_subact_checks(small_corpus):
                 for a in act.carrier():
                     if a in sub:
                         continue
-                    assert any(_separates(c, a, sub) for c in congs)
+                    assert any(separates(c, a, sub) for c in congs)
                     cx = separate(act, a, subact_generated(act, {x}))
                     cy = separate(act, a, subact_generated(act, {y}))
                     met = meet(cx.congruence, cy.congruence)
-                    assert _separates(met, a, sub)
+                    assert separates(met, a, sub)
 
 
 def test_check_condition_certificates_are_minimal():
@@ -403,6 +404,38 @@ def test_correspondence_right_only_bijection():
     assert report.act_conditions is None
     with pytest.raises(NotTwoSidedCongruence):
         act_monoid_correspondence(rb, rho, monoid_side=True)
+
+
+def test_correspondence_cap_bounds_each_condition():
+    # the cap bounds the candidate sets of each condition on its own: the
+    # largest condition's count passes, one less aborts
+    from actsep.congruences import equality_congruence, quotient
+    from actsep.errors import SearchSpaceTooLarge
+    from actsep.separability import CONDITIONS, _condition_instances
+
+    rho = equality_congruence(regular_act(NULL1))
+    act = quotient(rho.act, rho)[0]
+    counts = [
+        sum(1 << (act.size - len(forb) - 1) for _, forb in _condition_instances(act, cond, 1 << 16))
+        for cond in CONDITIONS
+    ]
+    assert sum(counts) > max(counts)
+    assert act_monoid_correspondence(NULL1, rho, cap=max(counts)).equivalences_agree
+    with pytest.raises(SearchSpaceTooLarge):
+        act_monoid_correspondence(NULL1, rho, cap=max(counts) - 1)
+
+
+def test_monoid_side_rejects_an_act_side_minimum_above_it():
+    # the equality congruence (index 3) separates 0 from 1, but a two-sided
+    # congruence of index 2 does too: an act-side "minimum" of 3 is a bug
+    from actsep.congruences import DEFAULT_SEARCH_CAP, equality_congruence
+
+    reg = regular_act(NULL1)
+    cert = SeparationCertificate(reg, 0, frozenset({1}), equality_congruence(reg))
+    with pytest.raises(InternalInvariantViolation, match="exceeds the two-sided one 2"):
+        _monoid_conditions(NULL1, {"RF": [cert]}, DEFAULT_SEARCH_CAP)
+    assert naive_min_separating_index(reg, 0, {1}) == 2
+    assert _monoid_conditions(NULL1, {"RF": [separate(reg, 0, {1})]}, DEFAULT_SEARCH_CAP) == {"RF": True}
 
 
 def test_is_clifford_predicate():

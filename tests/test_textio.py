@@ -132,6 +132,10 @@ def test_malformed_files():
         parse_monoid("")
     with pytest.raises(MalformedTable):
         parse_act("act a\nmonoid Null2^1\nsize 1\ntable\n0 - 0 0\n", NULL2)
+    act = regular_act(NULL2)
+    for classes in ("0\n1 2 3 4", "0 1\n1 2 3", "0\n1 2"):
+        with pytest.raises(MalformedTable, match="classes do not partition the carrier"):
+            parse_congruence(f"congruence Null2^1\nclasses 2\n{classes}\n", act)
 
 
 def _prefixes(text):
