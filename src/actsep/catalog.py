@@ -278,4 +278,7 @@ def enumerate_acts(monoid: FiniteMonoid, size: int) -> Iterator[FiniteAct]:
             for (x, k) in trail:
                 t[x][k] = -1
 
-    yield from rec(0)
+    try:
+        yield from rec(0)
+    finally:
+        del rec  # rec refers to itself through its closure cell

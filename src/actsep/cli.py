@@ -5,7 +5,7 @@ no separation within the bound, golden mismatch, invalid input to
 `validate`), 2 usage errors, 3 validation failures of input files or
 structures, 4 search-cap aborts.  Diagnostics go to stderr.  The only
 environment variable read is ACTSEP_MAX_SEARCH, which overrides the
-congruence-search cap.
+search cap.
 """
 
 from __future__ import annotations

@@ -234,7 +234,10 @@ def enumerate_congruences(
                 yield from rec(i + 1, used if b < used else used + 1)
             undo(log)
 
-    yield from rec(0, 0)
+    try:
+        yield from rec(0, 0)
+    finally:
+        del rec  # rec refers to itself through its closure cell
 
 
 def all_congruences(

@@ -392,48 +392,6 @@ def _condition_instances(
     return out
 
 
-def _check_conditions(
-    act: FiniteAct,
-    conditions: Sequence[str],
-    max_index: int | None,
-    cap: int,
-    subact_cap: int,
-    all_subacts: Sequence[frozenset[int]] | None = None,
-) -> dict[str, ConditionReport]:
-    """check_condition for several conditions at once.  The cap bounds each
-    condition's candidate sets on its own, and every condition is checked
-    before any instance is solved; the instances of all the conditions then
-    share one _SigmaBatch, so one walk of the syntactic congruences serves
-    them all.  Each condition stops at its first instance with no
-    separating congruence within max_index."""
-    batch = {}
-    for cond in conditions:
-        instances = _condition_instances(act, cond, subact_cap, all_subacts)
-        _require_within_cap(act.size, instances, max_index, cap)
-        batch[cond] = instances
-    solver = _SigmaBatch(
-        _hit_masks(act), [inst for instances in batch.values() for inst in instances], max_index
-    )
-    congruences: dict[tuple[int, ...], Congruence] = {}
-    reports = {}
-    for cond, instances in batch.items():
-        certificates: list[SeparationCertificate] = []
-        counterexample = None
-        for a, forb in instances:
-            best = solver.solve(a, forb)
-            if best is None:
-                counterexample = (a, forb)
-                break
-            cong = congruences.get(best)
-            if cong is None:
-                cong = congruences[best] = Congruence(act, Partition(best))
-            certificates.append(_certificate(act, a, forb, cong))
-        reports[cond] = ConditionReport(
-            cond, act, counterexample is None, tuple(certificates), counterexample
-        )
-    return reports
-
-
 def check_condition(
     act: FiniteAct,
     condition: str,
@@ -442,12 +400,30 @@ def check_condition(
     subact_cap: int = DEFAULT_SUBACT_CAP,
 ) -> ConditionReport:
     """Decide one of RF/WSS/SSS/CS by solving every instance, in instance
-    order, with the minimal separation search of separate().  The cap bounds
+    order, with the minimal separation search of separate(), up to the first
+    instance with no separating congruence within max_index.  The cap bounds
     the candidate sets of all instances together, checked before any is
     solved; a CS instance has exactly one, so CS reduces to the bracket
-    congruences."""
+    congruences.  The instances share one _SigmaBatch and each distinct
+    winner is built once; act_monoid_correspondence builds no certificates
+    and compares minimal indices alone."""
     cond = condition.upper()
-    return _check_conditions(act, (cond,), max_index, cap, subact_cap)[cond]
+    instances = _condition_instances(act, cond, subact_cap)
+    _require_within_cap(act.size, instances, max_index, cap)
+    solver = _SigmaBatch(_hit_masks(act), instances, max_index)
+    congruences: dict[tuple[int, ...], Congruence] = {}
+    certificates: list[SeparationCertificate] = []
+    counterexample = None
+    for a, forb in instances:
+        best = solver.solve(a, forb)
+        if best is None:
+            counterexample = (a, forb)
+            break
+        cong = congruences.get(best)
+        if cong is None:
+            cong = congruences[best] = Congruence(act, Partition(best))
+        certificates.append(_certificate(act, a, forb, cong))
+    return ConditionReport(cond, act, counterexample is None, tuple(certificates), counterexample)
 
 
 # ---------------------------------------------------------------------------
@@ -737,48 +713,6 @@ class CorrespondenceReport:
         )
 
 
-def _monoid_conditions(
-    n_monoid: FiniteMonoid,
-    act_certificates: Mapping[str, Sequence[SeparationCertificate]],
-    cap: int,
-) -> dict[str, bool]:
-    """Monoid-side separability: a monoid homomorphism of N into a finite
-    monoid is exactly a finite-index two-sided congruence, and the minimal
-    one separating a from X is the two-sided syntactic congruence of some C
-    with a in C and C disjoint from X.  So every instance goes through the
-    same _SigmaBatch as the act side, on _two_sided_hit_masks(N), with the
-    cap bounding each condition as there.  The instances are those of the
-    act-side certificates of each condition, whose carrier labels are N's.
-    Right congruences include the two-sided ones, so no act-side minimal
-    index may exceed the monoid-side one; a larger one raises
-    InternalInvariantViolation."""
-    instances = {
-        cond: [(cert.element, cert.forbidden) for cert in certs]
-        for cond, certs in act_certificates.items()
-    }
-    for cond_instances in instances.values():
-        _require_within_cap(n_monoid.order, cond_instances, None, cap)
-    solver = _SigmaBatch(
-        _two_sided_hit_masks(n_monoid),
-        [inst for cond_instances in instances.values() for inst in cond_instances],
-        None,
-    )
-    holds = {}
-    for cond, certs in act_certificates.items():
-        holds[cond] = True
-        for cert in certs:
-            two_sided = solver.min_index(cert.element, cert.forbidden)
-            if two_sided is None:
-                holds[cond] = False
-            elif cert.quotient_size > two_sided:
-                raise InternalInvariantViolation(
-                    f"{cond}: act-side minimal index {cert.quotient_size} exceeds the "
-                    f"two-sided one {two_sided} separating {cert.element} "
-                    f"from {sorted(cert.forbidden)}"
-                )
-    return holds
-
-
 def act_monoid_correspondence(
     monoid: FiniteMonoid,
     rho: Congruence,
@@ -787,14 +721,24 @@ def act_monoid_correspondence(
 ) -> CorrespondenceReport:
     """For N = M/rho: subacts of the act M/rho are the right ideals of N, and
     each act-side separability condition matches its monoid-side analogue.
-    The act side solves RF, WSS, SSS and CS of M/rho in one batch of
-    minimal right-congruence separations; the monoid side finds the minimal
-    two-sided congruence of N for the same instances (the carrier labels of
-    M/rho and N coincide) and asserts, per instance, that the act-side index
-    is no larger.  The cap bounds the candidate sets of each condition on
-    both sides; no congruence is enumerated.  A right-only congruence checks
-    the bijection alone, against the rho-saturated right ideals of M;
-    requesting monoid_side on such input raises NotTwoSidedCongruence."""
+
+    Each instance (a, X) of RF, WSS, SSS and CS on M/rho is solved on both
+    sides, on the carrier labels that M/rho and N share: for the minimal
+    right congruence of the act (a _SigmaBatch on _hit_masks), and for the
+    minimal two-sided congruence of N, which is the two-sided syntactic
+    congruence of some C with a in C and C disjoint from X (the same batch
+    on _two_sided_hit_masks).  Only minimal indices are compared; no
+    congruence is enumerated and no certificate is built.  A condition
+    holds on a side when each of its instances has a separating congruence
+    there, and an act-side index above the two-sided one raises
+    InternalInvariantViolation, since right congruences include the
+    two-sided ones.  The cap bounds the candidate sets of each condition on
+    its own; N has the order of the act's carrier, so one check covers both
+    sides.
+
+    A right-only congruence checks the bijection alone, against the
+    rho-saturated right ideals of M; requesting monoid_side on such input
+    raises NotTwoSidedCongruence."""
     if rho.act.table != monoid.table:
         raise NotACongruence("rho must be a right congruence on the monoid")
     act, proj = quotient(rho.act, rho)
@@ -818,13 +762,29 @@ def act_monoid_correspondence(
         )
     n_monoid = quotient_monoid(monoid, rho)
     n_ideals = {frozenset(i) for i in right_ideals(n_monoid)}
-    reports = _check_conditions(act, CONDITIONS, None, cap, DEFAULT_SUBACT_CAP, act_subacts)
-    monoid_conditions = _monoid_conditions(
-        n_monoid, {c: r.certificates for c, r in reports.items()}, cap
-    )
+    instances = {}
+    for cond in CONDITIONS:
+        instances[cond] = _condition_instances(act, cond, DEFAULT_SUBACT_CAP, act_subacts)
+        _require_within_cap(act.size, instances[cond], None, cap)
+    batch = [inst for cond_instances in instances.values() for inst in cond_instances]
+    right = _SigmaBatch(_hit_masks(act), batch, None)
+    two_sided = _SigmaBatch(_two_sided_hit_masks(n_monoid), batch, None)
+    act_conditions = dict.fromkeys(CONDITIONS, True)
+    monoid_conditions = dict.fromkeys(CONDITIONS, True)
+    for cond, cond_instances in instances.items():
+        for a, forb in cond_instances:
+            act_index = right.min_index(a, forb)
+            monoid_index = two_sided.min_index(a, forb)
+            act_conditions[cond] &= act_index is not None
+            monoid_conditions[cond] &= monoid_index is not None
+            if None not in (act_index, monoid_index) and act_index > monoid_index:
+                raise InternalInvariantViolation(
+                    f"{cond}: act-side minimal index {act_index} exceeds the two-sided "
+                    f"one {monoid_index} separating {a} from {sorted(forb)}"
+                )
     return CorrespondenceReport(
         two_sided=True,
         subacts_match_right_ideals=set(act_subacts) == n_ideals,
-        act_conditions={c: r.holds for c, r in reports.items()},
+        act_conditions=act_conditions,
         monoid_conditions=monoid_conditions,
     )

@@ -33,6 +33,7 @@ from actsep.monoids import (
 )
 from actsep.partitions import partition_from_blocks
 from actsep.separability import (
+    CONDITIONS,
     act_monoid_correspondence,
     check_condition,
     clifford_witness,
@@ -309,6 +310,9 @@ def test_criterion_8_act_monoid_correspondence():
             assert report.two_sided
             assert report.subacts_match_right_ideals, entry.name
             assert report.equivalences_agree, entry.name
+            assert report.act_conditions == report.monoid_conditions == dict.fromkeys(
+                CONDITIONS, True
+            ), entry.name
             checked += 1
     _report(8, f"act/monoid correspondence on {checked} quotients", checked > 100)
 

@@ -1,10 +1,15 @@
-from actsep.acts import act_from_table
+import gc
+
+import pytest
+
+from actsep.acts import act_from_table, regular_act
 from actsep.catalog import (
     catalog_monoids,
     enumerate_acts,
     monoid_tables_up_to_iso,
     named_monoids,
 )
+from actsep.congruences import enumerate_congruences
 from actsep.monoids import (
     are_isomorphic,
     cyclic_group,
@@ -77,3 +82,24 @@ def test_enumerated_acts_pass_validation():
     for entry in catalog_monoids():
         for act in enumerate_acts(entry.monoid, 3):
             act_from_table(act.monoid, act.table)
+
+
+@pytest.mark.parametrize("items", [None, 1], ids=["consumed", "closed_after_one"])
+@pytest.mark.parametrize("enumerator", ["acts", "congruences"])
+def test_enumerators_leave_no_cyclic_garbage(enumerator, items):
+    # the recursive generators inside must not outlive the enumeration in a
+    # reference cycle that only the cyclic collector frees
+    monoid = left_zero_adjoined(2)
+    act = regular_act(monoid)
+    gc.collect()
+    gc.disable()
+    try:
+        gen = enumerate_acts(monoid, 3) if enumerator == "acts" else enumerate_congruences(act)
+        for count, _ in enumerate(gen, start=1):
+            if count == items:
+                break
+        gen.close()
+        del gen
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

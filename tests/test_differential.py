@@ -10,7 +10,6 @@ import pytest
 from actsep.acts import act_from_table, partial_act_from_table, regular_act
 from actsep.catalog import catalog_monoids, enumerate_acts
 from actsep.congruences import (
-    DEFAULT_SEARCH_CAP,
     all_congruences,
     enumerate_congruences,
     quotient,
@@ -25,12 +24,11 @@ from actsep.errors import (
     NotAssociative,
 )
 from actsep.families import build
-from actsep.acts import DEFAULT_SUBACT_CAP
 from actsep.partitions import Partition, partition_from_assignment
 from actsep.separability import (
     CONDITIONS,
-    _check_conditions,
     _condition_instances,
+    _hit_masks,
     _SigmaBatch,
     _two_sided_hit_masks,
     check_condition,
@@ -191,8 +189,8 @@ def test_certificates_are_syntactic_congruences():
 
 # ---------------------------------------------------------------------------
 # the act/monoid correspondence: minimal two-sided separation against the
-# two-sided congruences of the enumeration, and one batch against one call
-# per condition
+# two-sided congruences of the enumeration, and the act side's minimal
+# indices against the certificates of check_condition
 
 
 def _two_sided_quotients():
@@ -213,9 +211,9 @@ def test_two_sided_search_matches_enumeration():
         reg = regular_act(n_monoid)
         two_sided = [c for c in enumerate_congruences(reg) if two_sided_violation(c) is None]
         instances = {cond: _condition_instances(act, cond, 1 << 16) for cond in CONDITIONS}
-        batch = _SigmaBatch(
-            _two_sided_hit_masks(n_monoid), [i for v in instances.values() for i in v], None
-        )
+        everything = [i for v in instances.values() for i in v]
+        batch = _SigmaBatch(_two_sided_hit_masks(n_monoid), everything, None)
+        right = _SigmaBatch(_hit_masks(act), everything, None)
         for cond, cond_instances in instances.items():
             act_side = check_condition(act, cond).certificates
             for (a, forbidden), cert in zip(cond_instances, act_side, strict=True):
@@ -226,28 +224,9 @@ def test_two_sided_search_matches_enumeration():
                 assert two_sided_violation(winner) is None
                 assert separates(winner, a, forbidden)
                 assert cert.quotient_size <= oracle
+                assert right.min_index(a, forbidden) == cert.quotient_size
                 checked += 1
     assert checked > 1000
-
-
-def _fields(cert):
-    return cert.element, cert.forbidden, cert.congruence.partition.block_of
-
-
-def test_batched_reports_match_single_condition_calls():
-    for _, act in _two_sided_quotients():
-        for bound in BOUNDS:
-            reports = _check_conditions(
-                act, CONDITIONS, bound, DEFAULT_SEARCH_CAP, DEFAULT_SUBACT_CAP
-            )
-            for cond in CONDITIONS:
-                single = check_condition(act, cond, max_index=bound)
-                batched = reports[cond]
-                assert batched.holds == single.holds
-                assert batched.counterexample == single.counterexample
-                assert list(map(_fields, batched.certificates)) == list(
-                    map(_fields, single.certificates)
-                )
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -41,3 +43,19 @@ def test_golden_files_match_fresh_reports(golden):
 def test_golden_directory_covers_every_family():
     names = {p.name.partition("__")[0] for p in GOLDEN_DIR.glob("*.facts")}
     assert names == set(families.FAMILIES)
+
+
+def test_perfbench_trace_layers_resolve():
+    # `perfbench/run.py --trace 1` wraps every (module, attr) of LAYERS in
+    # perfbench/tracing.py, so a rename in the package fails here first;
+    # LAYERS is read from the source, without importing the harness
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    layers = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "LAYERS"
+    )
+    assert layers
+    for module_name, attr in layers:
+        module = importlib.import_module(f"actsep.{module_name}")
+        assert callable(getattr(module, attr, None)), f"actsep.{module_name}.{attr}"

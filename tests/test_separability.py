@@ -38,8 +38,6 @@ from actsep.monoids import (
 )
 from actsep.partitions import partition_from_blocks
 from actsep.separability import (
-    SeparationCertificate,
-    _monoid_conditions,
     act_monoid_correspondence,
     bracket_profile,
     check_condition,
@@ -425,17 +423,26 @@ def test_correspondence_cap_bounds_each_condition():
         act_monoid_correspondence(NULL1, rho, cap=max(counts) - 1)
 
 
-def test_monoid_side_rejects_an_act_side_minimum_above_it():
-    # the equality congruence (index 3) separates 0 from 1, but a two-sided
-    # congruence of index 2 does too: an act-side "minimum" of 3 is a bug
-    from actsep.congruences import DEFAULT_SEARCH_CAP, equality_congruence
+def test_monoid_side_rejects_an_act_side_minimum_above_it(monkeypatch):
+    # a two-sided congruence of index 2 separates 0 from 1 in N = NULL1, so
+    # an act-side "minimum" of 3, the equality, is a bug
+    from actsep import separability
+    from actsep.congruences import equality_congruence
 
     reg = regular_act(NULL1)
-    cert = SeparationCertificate(reg, 0, frozenset({1}), equality_congruence(reg))
-    with pytest.raises(InternalInvariantViolation, match="exceeds the two-sided one 2"):
-        _monoid_conditions(NULL1, {"RF": [cert]}, DEFAULT_SEARCH_CAP)
+    rho = equality_congruence(reg)
     assert naive_min_separating_index(reg, 0, {1}) == 2
-    assert _monoid_conditions(NULL1, {"RF": [separate(reg, 0, {1})]}, DEFAULT_SEARCH_CAP) == {"RF": True}
+    report = act_monoid_correspondence(NULL1, rho)
+    assert all(report.act_conditions.values()) and all(report.monoid_conditions.values())
+
+    def equality_masks(act):
+        # hit masks that give each element its own key under every C, so
+        # every sigma_C on the act side is the equality
+        return [[1 << (y * act.size + x) for x in act.carrier()] for y in act.carrier()]
+
+    monkeypatch.setattr(separability, "_hit_masks", equality_masks)
+    with pytest.raises(InternalInvariantViolation, match="exceeds the two-sided one 2"):
+        act_monoid_correspondence(NULL1, rho)
 
 
 def test_is_clifford_predicate():
