@@ -25,7 +25,7 @@ from .errors import (
     SearchSpaceTooLarge,
 )
 from .monoids import FiniteMonoid, _distinct_unions
-from .partitions import Partition, partition_from_assignment
+from .partitions import Partition, _normal_partition, partition_from_assignment
 
 DEFAULT_SUBACT_CAP = 1 << 16
 
@@ -58,9 +58,7 @@ class FiniteAct:
     def zeros(self) -> tuple[int, ...]:
         return tuple(a for a in self.carrier() if all(v == a for v in self.table[a]))
 
-    @cached_property
-    def _closure_rows(self) -> Sequence[Sequence[int]]:
-        return _rows_for_closure(self.monoid, self.table)
+    _total = True  # no undefined entry; see closure_partial
 
 
 @dataclass(frozen=True)
@@ -81,21 +79,10 @@ class PartialAct:
         return range(self.size)
 
     @cached_property
-    def _closure_rows(self) -> Sequence[Sequence[int | None]]:
-        return _rows_for_closure(self.monoid, self.table)
-
-
-def _rows_for_closure(
-    monoid: FiniteMonoid, table: Sequence[Sequence[int | None]]
-) -> Sequence[Sequence[int | None]]:
-    """The columns closure_partial follows: each row restricted to the
-    monoid's generators when every entry is defined, the whole table when
-    one is not.  Cached per act, since a forcing argument closes many seed
-    sets over one act."""
-    if any(None in row for row in table):
-        return table
-    gens = monoid.generators
-    return tuple(tuple(row[g] for g in gens) for row in table)
+    def _total(self) -> bool:
+        """No entry is undefined.  Cached per act, since a forcing argument
+        closes many seed sets over one act (see closure_partial)."""
+        return not any(None in row for row in self.table)
 
 
 @dataclass(frozen=True)
@@ -486,16 +473,27 @@ def closure_partial(partial: PartialAct | FiniteAct, seeds: Iterable[tuple[int, 
     total act (no undefined entries) this is the least congruence containing
     the seeds.
 
-    On a total act only the generator columns are followed: if x ~ y forces
-    x*g ~ y*g for every generator g, then x*(g h) = (x*g)*h ~ (y*g)*h, and
-    so on, so x*m ~ y*m for every product m of generators, which is every m.
-    A table with an undefined entry keeps every column, since that chain
-    can pass through an undefined entry.  The columns are cached per act.
+    On a total act that congruence is the equivalence generated by the pairs
+    (x*m, y*m) for every seed (x, y) and every m (Kilp, Knauer and Mikhalev,
+    Monoids, Acts and Categories, I.4), so each seed is taken once, in one
+    pass: m = 1 gives the seed itself; the pairs are closed under the
+    action, since (x*m)*k = x*(mk); and a seed whose ends are already joined
+    adds nothing, because its joining chain, multiplied by m, consists of
+    pairs already joined.  Each other seed joins at least two classes, so
+    the cost is at most |S| + (n - 1)|M| union steps for |S| seeds on n
+    elements.
 
-    Union-find where each class root keeps one defined image per column (its
-    own row until the first merge copies it); merging two roots pushes every
-    column where both images are defined and differ, so the fixed point is
-    independent of processing order.
+    A table with an undefined entry keeps a cascade over every column, since
+    that argument composes entries and an undefined one breaks the chain:
+    union-find where each class root keeps one defined image per column (its
+    own row until the first merge copies it), and merging two roots pushes
+    every column where both images are defined and differ, so the fixed
+    point is independent of processing order.
+
+    Both branches link the larger root under the smaller and find only
+    shortens paths, so parent[x] <= x throughout, each root is the least
+    member of its class, and one ascending pass over parent gives the block
+    ids in first-occurrence order.
     """
     size = partial.size
     parent = list(range(size))
@@ -506,32 +504,52 @@ def closure_partial(partial: PartialAct | FiniteAct, seeds: Iterable[tuple[int, 
             x = parent[x]
         return x
 
-    table = partial._closure_rows
-    images: list[list[int | None] | None] = [None] * size
-    pending = [(a, b) for a, b in seeds]
-    for a, b in pending:
+    table = partial.table
+    pairs = list(seeds)
+    for a, b in pairs:
         if not (0 <= a < size and 0 <= b < size):
             raise InvalidSpec(f"seed ({a}, {b}) out of range")
-    while pending:
-        a, b = pending.pop()
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            continue
-        if ra > rb:
-            ra, rb = rb, ra
-        parent[rb] = ra
-        kept = images[ra]
-        if kept is None:
-            kept = images[ra] = list(table[ra])
-        merged = images[rb]
-        for m, v in enumerate(table[rb] if merged is None else merged):
-            if v is not None:
-                u = kept[m]
-                if u is None:
-                    kept[m] = v
-                elif u != v:
-                    pending.append((u, v))
-    return partition_from_assignment([find(x) for x in range(size)])
+    if partial._total:
+        for a, b in pairs:
+            if find(a) == find(b):
+                continue
+            for u, v in zip(table[a], table[b]):
+                if u != v:
+                    u, v = find(u), find(v)
+                    if u < v:
+                        parent[v] = u
+                    elif v < u:
+                        parent[u] = v
+    else:
+        images: list[list[int | None] | None] = [None] * size
+        while pairs:
+            a, b = pairs.pop()
+            ra, rb = find(a), find(b)
+            if ra == rb:
+                continue
+            if ra > rb:
+                ra, rb = rb, ra
+            parent[rb] = ra
+            kept = images[ra]
+            if kept is None:
+                kept = images[ra] = list(table[ra])
+            merged = images[rb]
+            for m, v in enumerate(table[rb] if merged is None else merged):
+                if v is not None:
+                    u = kept[m]
+                    if u is None:
+                        kept[m] = v
+                    elif u != v:
+                        pairs.append((u, v))
+    block_of = [0] * size
+    index = 0
+    for x, p in enumerate(parent):
+        if p == x:
+            block_of[x] = index
+            index += 1
+        else:
+            block_of[x] = block_of[p]
+    return _normal_partition(tuple(block_of))
 
 
 def _split_images(table: Sequence[Sequence[int | None]], partition: Partition) -> tuple[int, int, int] | None:

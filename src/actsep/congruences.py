@@ -90,7 +90,10 @@ def universal_congruence(act: FiniteAct) -> Congruence:
 
 
 def principal_closure(act: FiniteAct, seeds: Iterable[tuple[int, int]]) -> Congruence:
-    """Least congruence containing the seed pairs (see closure_partial)."""
+    """Least congruence containing the seed pairs: the equivalence generated
+    by the pairs (x*m, y*m) for every seed (x, y) and every m, computed in
+    one pass over the seeds by closure_partial (see its docstring for the
+    argument and the cost bound)."""
     return Congruence(act, closure_partial(act, seeds))
 
 

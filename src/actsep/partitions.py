@@ -62,8 +62,17 @@ class Partition:
         return self.index <= 1
 
 
+def _normal_partition(block_of: tuple[int, ...]) -> Partition:
+    """A Partition from block ids already in first-occurrence normal form,
+    without the normal-form check of Partition(...)."""
+    part = object.__new__(Partition)
+    object.__setattr__(part, "block_of", block_of)
+    object.__setattr__(part, "_index", max(block_of) + 1 if block_of else 0)
+    return part
+
+
 def partition_from_assignment(assignment: Iterable[Hashable]) -> Partition:
-    return Partition(normalize_block_ids(assignment))
+    return _normal_partition(normalize_block_ids(assignment))
 
 
 def partition_from_blocks(size: int, blocks: Iterable[Iterable[int]]) -> Partition:

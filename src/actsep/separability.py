@@ -249,9 +249,13 @@ class _SigmaBatch:
         self.table: bytearray | None = None
         if self.bound < 2 or not instances:  # one block cannot separate
             return
-        free = [y for y in range(size) if not all(y in forb for _, forb in instances)]
         own = sum(1 << (size - len(forb) - 1) for _, forb in instances)
-        if 1 << len(free) > own or size > 255:
+        # each instance's element lies in U, so this rules the table out
+        # before U is computed (CS always stops here)
+        if 1 << len({a for a, _ in instances}) > own or size > 255:
+            return
+        free = [y for y in range(size) if not all(y in forb for _, forb in instances)]
+        if 1 << len(free) > own:
             return
         self.free = free
         self.bit = {y: 1 << i for i, y in enumerate(free)}

@@ -1,13 +1,23 @@
 """Wider differential checks: the pruned enumerations against naive
 generate-then-filter oracles on carriers beyond the small corpus, the
 syntactic-congruence separation search against the congruence enumeration
-(right congruences of acts, and two-sided congruences of monoids), and the
+(right congruences of acts, and two-sided congruences of monoids), the
 generator-column validators against all-column oracles on every
-single-entry corruption of small tables."""
+single-entry corruption of small tables, and closure_partial against the
+rescanning closure oracle."""
+
+import random
 
 import pytest
 
-from actsep.acts import act_from_table, partial_act_from_table, regular_act
+from actsep.acts import (
+    FiniteAct,
+    act_from_table,
+    closure_partial,
+    decompose,
+    partial_act_from_table,
+    regular_act,
+)
 from actsep.catalog import catalog_monoids, enumerate_acts
 from actsep.congruences import (
     all_congruences,
@@ -41,6 +51,7 @@ from oracles import (
     naive_acts,
     naive_congruences,
     naive_is_associative,
+    naive_partial_closure,
     separates,
 )
 
@@ -315,3 +326,77 @@ def test_partial_act_violation_outside_generator_columns():
     with pytest.raises(AssociativityViolation) as exc:
         partial_act_from_table(z3, table)
     assert exc.value.triple == (1, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# closure_partial against the rescanning oracle, on total tables (one pass
+# over the seeds) and partial ones (cascade over every column)
+
+
+def _closure_matches_oracle(act, seeds):
+    ours = closure_partial(act, seeds)
+    # the block ids bypass Partition's normal-form check; it must still hold
+    assert Partition(ours.block_of) == ours
+    assert ours == naive_partial_closure(act, seeds)
+    return ours
+
+
+def _carrier4_slice():
+    for entry in catalog_monoids():
+        yield from list(enumerate_acts(entry.monoid, 4))[::40]
+
+
+def _family_acts():
+    """Total family acts with their PartialAct copies, and partial windows."""
+    total = [
+        build("kozhukhov", {"n": 4}).act,
+        build("leftzero", {"n": 4}).act,
+        build("star_semilattice", {"n": 4}).act,
+        build("clifford_tower", {"n": 2}).act,
+        regular_act(build("bz_quotient", {"n": 3}).monoid),
+    ]
+    copies = [partial_act_from_table(a.monoid, a.table, a.labels) for a in total]
+    assert all(copy._total for copy in copies)
+    windows = [
+        build("bz_window", {"w": 6}).act,
+        build("n_times_g", {"n": 3, "g": 2}).act,
+        build("bz_quotient", {"n": 2}).act,
+    ]
+    assert not any(window._total for window in windows)
+    return total + copies + windows
+
+
+def test_closure_single_pair_seeds_on_carrier4_acts():
+    checked = 0
+    for act in _carrier4_slice():
+        for a in act.carrier():
+            for b in act.carrier():
+                _closure_matches_oracle(act, [(a, b)])
+                checked += 1
+    assert checked > 4000
+
+
+def test_closure_of_shuffled_decompose_edges():
+    rng = random.Random(4)
+    acts = list(_carrier4_slice())[::5] + [a for a in _family_acts() if a._total]
+    for act in acts:
+        edges = [(a, v) for a in act.carrier() for v in act.table[a]]
+        rng.shuffle(edges)
+        ours = _closure_matches_oracle(act, edges)
+        if isinstance(act, FiniteAct):
+            assert ours.blocks() == decompose(act)
+
+
+def test_closure_of_multi_seed_sets_with_joined_and_reversed_seeds():
+    rng = random.Random(9)
+    for act in _family_acts():
+        n = act.size
+        for _ in range(20):
+            seeds = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(1, 4))]
+            closed = _closure_matches_oracle(act, seeds)
+            joined = [(block[-1], block[0]) for block in closed.blocks() if len(block) > 1]
+            more = seeds + [(b, a) for a, b in seeds] + joined
+            rng.shuffle(more)
+            assert _closure_matches_oracle(act, more) == closed
+            # already-joined seeds first, then the seeds again reversed
+            assert _closure_matches_oracle(act, joined + [(b, a) for a, b in seeds]) == closed

@@ -423,6 +423,22 @@ def test_correspondence_cap_bounds_each_condition():
         act_monoid_correspondence(NULL1, rho, cap=max(counts) - 1)
 
 
+def test_cs_batch_walks_alone_without_computing_u():
+    # CS has one instance per element with one candidate set each, so its n
+    # elements alone (2^n sets > n) rule the table out before U is computed
+    from actsep.catalog import enumerate_acts
+    from actsep.separability import _condition_instances, _hit_masks, _SigmaBatch
+
+    for size in (2, 3, 4, 5):
+        for act in list(enumerate_acts(NULL1, size))[::7]:
+            instances = _condition_instances(act, "CS", 1 << 16)
+            batch = _SigmaBatch(_hit_masks(act), instances, None)
+            assert batch.table is None
+            assert not hasattr(batch, "free")
+            expected = [c.quotient_size for c in check_condition(act, "CS").certificates]
+            assert [batch.min_index(a, forb) for a, forb in instances] == expected
+
+
 def test_monoid_side_rejects_an_act_side_minimum_above_it(monkeypatch):
     # a two-sided congruence of index 2 separates 0 from 1 in N = NULL1, so
     # an act-side "minimum" of 3, the equality, is a bug
