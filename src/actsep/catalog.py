@@ -217,7 +217,9 @@ def enumerate_acts(monoid: FiniteMonoid, size: int) -> Iterator[FiniteAct]:
     queue leaves every triple with both defined satisfied, t[t[a][m]][k]
     included, and a complete table is an act; setting t[t[a][m]][k] itself
     need wake nothing.  Propagation only sets forced values, so it skips no
-    act, and the yield order is that of the search without it.
+    act, and the yield order is that of the search without it.  The open
+    choices live on an explicit stack, so every act is yielded from this
+    one generator frame, not through one nested generator per choice.
     """
     n = monoid.order
     prod = monoid.table
@@ -263,22 +265,35 @@ def enumerate_acts(monoid: FiniteMonoid, size: int) -> Iterator[FiniteAct]:
                         return False
         return True
 
-    def rec(pos: int) -> Iterator[FiniteAct]:
-        while pos < len(slots) and t[slots[pos][0]][slots[pos][1]] >= 0:
+    # The stack holds (slot position, value set there, its trail) for each
+    # open choice; v is the next value to try at slot pos, and a finished
+    # table or a slot with no value left backtracks to the top choice.
+    stack: list[tuple[int, int, list[tuple[int, int]]]] = []
+    nslots = len(slots)
+    pos, v = 0, 0
+    while True:
+        while pos < nslots and t[slots[pos][0]][slots[pos][1]] >= 0:
             pos += 1
-        if pos == len(slots):
-            yield FiniteAct(monoid, tuple(tuple(row) for row in t))
+        if pos == nslots:
+            yield FiniteAct(monoid, tuple(map(tuple, t)))
+        else:
+            a, m = slots[pos]
+            row = t[a]
+            while v < size:
+                trail = [(a, m)]
+                row[m] = v
+                if propagate(trail):
+                    break
+                for x, k in trail:
+                    t[x][k] = -1
+                v += 1
+            if v < size:
+                stack.append((pos, v, trail))
+                pos, v = pos + 1, 0
+                continue
+        if not stack:
             return
-        a, m = slots[pos]
-        for v in range(size):
-            trail = [(a, m)]
-            t[a][m] = v
-            if propagate(trail):
-                yield from rec(pos + 1)
-            for (x, k) in trail:
-                t[x][k] = -1
-
-    try:
-        yield from rec(0)
-    finally:
-        del rec  # rec refers to itself through its closure cell
+        pos, v, trail = stack.pop()
+        for x, k in trail:
+            t[x][k] = -1
+        v += 1

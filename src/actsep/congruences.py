@@ -128,6 +128,12 @@ def restrict(congruence: Congruence, subset: Iterable[int]) -> Congruence:
 
 def quotient(act: FiniteAct, congruence: Congruence) -> tuple[FiniteAct, ActHomomorphism]:
     """The quotient act [a]m = [am] together with the projection."""
+    quot = _quotient_act(act, congruence)
+    return quot, act_homomorphism(act, quot, congruence.partition.block_of)
+
+
+def _quotient_act(act: FiniteAct, congruence: Congruence) -> FiniteAct:
+    """The act of quotient(act, congruence), without the projection."""
     if congruence.act != act:
         raise ActMismatch("congruence lives on a different act")
     block_of = congruence.partition.block_of
@@ -136,9 +142,7 @@ def quotient(act: FiniteAct, congruence: Congruence) -> tuple[FiniteAct, ActHomo
         [block_of[act.table[r][m]] for m in act.monoid.elements()] for r in reps
     ]
     labels = tuple(f"[{act.label(r)}]" for r in reps)
-    quot = act_from_table(act.monoid, table, labels, name=f"{act.name}/rho")
-    proj = act_homomorphism(act, quot, block_of)
-    return quot, proj
+    return act_from_table(act.monoid, table, labels, name=f"{act.name}/rho")
 
 
 def kernel(hom: ActHomomorphism) -> Congruence:
@@ -277,5 +281,4 @@ def cyclic_act_from_right_congruence(monoid: FiniteMonoid, congruence: Congruenc
     """M/rho as an act, generated by the class of the identity."""
     if congruence.act.table != monoid.table:
         raise NotACongruence("congruence does not live on the regular act of this monoid")
-    quot, _ = quotient(congruence.act, congruence)
-    return quot
+    return _quotient_act(congruence.act, congruence)

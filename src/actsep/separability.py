@@ -7,12 +7,14 @@ correspondence checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import xor
+from itertools import compress, count
+from operator import gt, xor
 from typing import Iterable, Mapping, Sequence
 
 from .acts import (
     DEFAULT_SUBACT_CAP,
     FiniteAct,
+    _orbit_unions,
     cyclic_subacts,
     preorder_and_green,
     require_subact,
@@ -22,10 +24,10 @@ from .acts import (
 from .congruences import (
     Congruence,
     DEFAULT_SEARCH_CAP,
+    _quotient_act,
     equality_congruence,
     quotient,
     quotient_monoid,
-    two_sided_violation,
     verify_congruence,
 )
 from .errors import (
@@ -51,7 +53,7 @@ from .monoids import (
     rees_matrix_monoid,
     right_ideals,
 )
-from .partitions import Partition, normalize_block_ids, partition_from_assignment
+from .partitions import _normal_partition, normalize_block_ids, partition_from_assignment
 
 CONDITIONS = ("RF", "WSS", "SSS", "CS")
 
@@ -334,7 +336,7 @@ def separate(
     _check_separation_input(act, a, forb)
     _require_within_cap(act.size, [(a, forb)], max_index, cap)
     best = _SigmaBatch(_hit_masks(act), [(a, forb)], max_index).solve(a, forb)
-    return None if best is None else _certificate(act, a, forb, Congruence(act, Partition(best)))
+    return None if best is None else _certificate(act, a, forb, Congruence(act, _normal_partition(best)))
 
 
 def minimal_separating_index(
@@ -362,38 +364,85 @@ class ConditionReport:
 
 
 def _condition_instances(
-    act: FiniteAct,
-    condition: str,
-    subact_cap: int,
-    all_subacts: Sequence[frozenset[int]] | None = None,
+    act: FiniteAct, condition: str, subact_cap: int
 ) -> list[tuple[int, frozenset[int]]]:
-    """The instances (a, X) of one condition, in order.  SSS lists the
-    subacts unless all_subacts, subacts(act, cap=subact_cap), is given."""
-    out: list[tuple[int, frozenset[int]]] = []
-    if condition == "RF":
-        for a in act.carrier():
-            for b in range(a + 1, act.size):
-                out.append((a, frozenset({b})))
-    elif condition == "WSS":
-        for sub in cyclic_subacts(act):
-            for a in act.carrier():
-                if a not in sub:
-                    out.append((a, sub))
+    """The instances (a, X) of one condition, in order: for WSS and SSS, one
+    per (cyclic subact or subact X, element a outside X)."""
+    if condition == "WSS":
+        forbidden_sets = cyclic_subacts(act)
     elif condition == "SSS":
-        if all_subacts is None:
-            all_subacts = subacts(act, cap=subact_cap)
-        for sub in all_subacts:
-            for a in act.carrier():
-                if a not in sub:
-                    out.append((a, sub))
-    elif condition == "CS":
-        for a in act.carrier():
-            rest = frozenset(act.carrier()) - {a}
-            if rest:
-                out.append((a, rest))
+        forbidden_sets = subacts(act, cap=subact_cap)
     else:
-        raise InvalidSpec(f"unknown condition {condition!r}")
-    return out
+        return _maximal_instances(act, condition, ())
+    return [(a, sub) for sub in forbidden_sets for a in act.carrier() if a not in sub]
+
+
+def _maximal_instances(
+    act: FiniteAct, condition: str, orbits: Sequence[frozenset[int]]
+) -> list[tuple[int, frozenset[int]]]:
+    """The instances (a, X) of one condition whose X lies in no larger X of
+    an instance with the same a, given orbits = cyclic_subacts(act) (unused
+    by RF and CS, whose instances are all maximal).  A congruence that
+    separates a from X separates a from every subset of X, so the condition
+    holds within an index exactly when these instances can be separated
+    within it, and its index is the largest of their minimal indices.
+
+    - RF: (a, {b}) for every pair a < b.
+    - CS: (a, carrier minus a).
+    - SSS: (a, B_a) with B_a = {x : a not in xM} non-empty: the union of
+      the orbits that miss a, so the largest subact that misses a.
+    - WSS: (a, O) for each orbit O that misses a and lies in no larger
+      orbit that misses a."""
+    if condition == "RF":
+        return [(a, frozenset({b})) for a in act.carrier() for b in range(a + 1, act.size)]
+    if condition == "CS":
+        carrier = frozenset(act.carrier())
+        return [(a, carrier - {a}) for a in act.carrier()] if act.size > 1 else []
+    if condition == "SSS":
+        out = []
+        for a in act.carrier():
+            b_a = frozenset().union(*(orbit for orbit in orbits if a not in orbit))
+            if b_a:
+                out.append((a, b_a))
+        return out
+    if condition == "WSS":
+        # an orbit missing a is maximal among those iff a lies in every
+        # larger orbit, i.e. in their intersection
+        carrier = frozenset(act.carrier())
+        above = [
+            carrier.intersection(*(other for other in orbits if orbit < other))
+            for orbit in orbits
+        ]
+        return [
+            (a, orbit)
+            for a in act.carrier()
+            for orbit, inside in zip(orbits, above)
+            if a not in orbit and a in inside
+        ]
+    raise InvalidSpec(f"unknown condition {condition!r}")
+
+
+def _condition_index(minima: list[int | None]) -> int | None:
+    """The largest of the minimal indices of a condition's maximal instances,
+    1 when there are none; None when one has no separating congruence."""
+    return None if None in minima else max(minima, default=1)
+
+
+def condition_index(act: FiniteAct, condition: str, cap: int = DEFAULT_SEARCH_CAP) -> int:
+    """The least index k at which one of RF/WSS/SSS/CS holds: the largest
+    minimal separating index over its instances, 1 when it has none.  Only
+    the maximal instances are solved (see _maximal_instances), at most n for
+    SSS and CS and never a list of subacts, so the subact cap does not
+    apply; SearchSpaceTooLarge is raised when their candidate sets together
+    exceed cap.  By the paper's first theorem a finite act satisfies all
+    four conditions, so the index always exists."""
+    cond = condition.upper()
+    instances = _maximal_instances(act, cond, cyclic_subacts(act))
+    _require_within_cap(act.size, instances, None, cap)
+    solver = _SigmaBatch(_hit_masks(act), instances, None)
+    index = _condition_index([solver.min_index(a, forb) for a, forb in instances])
+    assert index is not None  # unbounded search cannot fail on a finite act
+    return index
 
 
 def check_condition(
@@ -425,7 +474,7 @@ def check_condition(
             break
         cong = congruences.get(best)
         if cong is None:
-            cong = congruences[best] = Congruence(act, Partition(best))
+            cong = congruences[best] = Congruence(act, _normal_partition(best))
         certificates.append(_certificate(act, a, forb, cong))
     return ConditionReport(cond, act, counterexample is None, tuple(certificates), counterexample)
 
@@ -703,10 +752,18 @@ def rees_bracket_decomposition(
 
 @dataclass(frozen=True)
 class CorrespondenceReport:
+    """The subact/right-ideal bijection for N = M/rho and, for a two-sided
+    rho, each condition on both sides: whether it holds and its condition
+    index, the largest minimal index over its maximal instances, by right
+    congruences of the act M/rho (act_*) and by two-sided congruences of N
+    (monoid_*).  All four are None on right-only input."""
+
     two_sided: bool
     subacts_match_right_ideals: bool
     act_conditions: Mapping[str, bool] | None
     monoid_conditions: Mapping[str, bool] | None
+    act_indices: Mapping[str, int | None] | None = None
+    monoid_indices: Mapping[str, int | None] | None = None
 
     @property
     def equivalences_agree(self) -> bool:
@@ -715,6 +772,60 @@ class CorrespondenceReport:
         return self.subacts_match_right_ideals and all(
             self.act_conditions[c] == self.monoid_conditions[c] for c in CONDITIONS
         )
+
+
+def _paired_min_indices(
+    right: _SigmaBatch, two_sided: _SigmaBatch, instances: Sequence[tuple[int, frozenset[int]]]
+) -> tuple[list[int | None], list[int | None]]:
+    """The right and the two-sided minimal index of each instance, for two
+    batches over the same instances and carrier, so with a table both or
+    neither.  The right syntactic congruence of C contains the two-sided
+    one (take m = 1 in m*x*k), so it has at most its index, for every C:
+    with tables this is checked once over the whole tables, else per
+    instance, and a violation raises InternalInvariantViolation."""
+    act_minima: list[int | None] = []
+    monoid_minima: list[int | None] = []
+    if right.table is None:
+        for a, forb in instances:
+            act_index = right.min_index(a, forb)
+            monoid_index = two_sided.min_index(a, forb)
+            if None not in (act_index, monoid_index) and act_index > monoid_index:
+                raise InternalInvariantViolation(
+                    f"act-side minimal index {act_index} exceeds the two-sided "
+                    f"one {monoid_index} separating {a} from {sorted(forb)}"
+                )
+            act_minima.append(act_index)
+            monoid_minima.append(monoid_index)
+        return act_minima, monoid_minima
+    table, other = right.table, two_sided.table
+    c = next(compress(count(), map(gt, table, other)), None)
+    if c is not None:
+        members = [y for i, y in enumerate(right.free) if c >> i & 1]
+        raise InternalInvariantViolation(
+            f"act-side index {table[c]} of sigma_C exceeds the two-sided "
+            f"one {other[c]} for C = {members}"
+        )
+    bit, full, bound = right.bit, len(table) - 1, right.bound
+    for a, forb in instances:
+        # the submask walk of _SigmaBatch._ties, on both tables at once
+        own = bit[a]
+        allowed = full & ~own
+        for x in forb:
+            allowed &= ~bit.get(x, 0)
+        act_index = monoid_index = bound + 1
+        sub = allowed
+        while True:
+            c = sub | own
+            if table[c] < act_index:
+                act_index = table[c]
+            if other[c] < monoid_index:
+                monoid_index = other[c]
+            if not sub:
+                break
+            sub = (sub - 1) & allowed
+        act_minima.append(act_index if act_index <= bound else None)
+        monoid_minima.append(monoid_index if monoid_index <= bound else None)
+    return act_minima, monoid_minima
 
 
 def act_monoid_correspondence(
@@ -726,31 +837,40 @@ def act_monoid_correspondence(
     """For N = M/rho: subacts of the act M/rho are the right ideals of N, and
     each act-side separability condition matches its monoid-side analogue.
 
-    Each instance (a, X) of RF, WSS, SSS and CS on M/rho is solved on both
-    sides, on the carrier labels that M/rho and N share: for the minimal
-    right congruence of the act (a _SigmaBatch on _hit_masks), and for the
-    minimal two-sided congruence of N, which is the two-sided syntactic
-    congruence of some C with a in C and C disjoint from X (the same batch
-    on _two_sided_hit_masks).  Only minimal indices are compared; no
-    congruence is enumerated and no certificate is built.  A condition
-    holds on a side when each of its instances has a separating congruence
-    there, and an act-side index above the two-sided one raises
-    InternalInvariantViolation, since right congruences include the
-    two-sided ones.  The cap bounds the candidate sets of each condition on
-    its own; N has the order of the act's carrier, so one check covers both
-    sides.
+    Each condition is decided, and its condition index found, from its
+    maximal instances alone (see _maximal_instances), deduplicated across
+    the four conditions: at most n for SSS, one per element and maximal
+    orbit missing it for WSS.  Each is solved on both sides, on the carrier
+    labels that M/rho and N share: for the minimal right congruence of the
+    act (a _SigmaBatch on _hit_masks), and for the minimal two-sided
+    congruence of N, which is the two-sided syntactic congruence of some C
+    with a in C and C disjoint from X (the same batch on
+    _two_sided_hit_masks).  The two batches have the same instances and
+    carrier, so both have a table of sigma_C indices or neither has; with
+    tables, one pass over each instance's candidate sets reads both.  Only
+    minimal indices are compared; no congruence is enumerated and no
+    certificate is built.
+
+    Right congruences include the two-sided ones, so the act-side sigma_C
+    has at most the index of the two-sided one for every C: checked once
+    over the whole tables, else per instance, and a violation raises
+    InternalInvariantViolation.  The cap bounds the candidate sets of each
+    condition's maximal instances on its own; N has the order of the act's
+    carrier, so one check covers both sides.
 
     A right-only congruence checks the bijection alone, against the
     rho-saturated right ideals of M; requesting monoid_side on such input
     raises NotTwoSidedCongruence."""
     if rho.act.table != monoid.table:
         raise NotACongruence("rho must be a right congruence on the monoid")
-    act, proj = quotient(rho.act, rho)
-    act_subacts = subacts(act)
-    violation = two_sided_violation(rho)
-    if monoid_side and violation is not None:
-        raise NotTwoSidedCongruence(*violation)
-    if violation is not None:
+    act = _quotient_act(rho.act, rho)
+    orbits = cyclic_subacts(act)
+    act_subacts = _orbit_unions(orbits, DEFAULT_SUBACT_CAP)
+    try:
+        n_monoid = quotient_monoid(monoid, rho)
+    except NotTwoSidedCongruence:
+        if monoid_side:
+            raise
         saturated = set()
         block_of = rho.partition.block_of
         for ideal in right_ideals(monoid):
@@ -764,31 +884,28 @@ def act_monoid_correspondence(
             act_conditions=None,
             monoid_conditions=None,
         )
-    n_monoid = quotient_monoid(monoid, rho)
     n_ideals = {frozenset(i) for i in right_ideals(n_monoid)}
-    instances = {}
-    for cond in CONDITIONS:
-        instances[cond] = _condition_instances(act, cond, DEFAULT_SUBACT_CAP, act_subacts)
-        _require_within_cap(act.size, instances[cond], None, cap)
-    batch = [inst for cond_instances in instances.values() for inst in cond_instances]
+    maximal = {cond: _maximal_instances(act, cond, orbits) for cond in CONDITIONS}
+    position: dict[tuple[int, frozenset[int]], int] = {}
+    for cond_instances in maximal.values():
+        _require_within_cap(act.size, cond_instances, None, cap)
+        for instance in cond_instances:
+            position.setdefault(instance, len(position))
+    batch = list(position)
     right = _SigmaBatch(_hit_masks(act), batch, None)
     two_sided = _SigmaBatch(_two_sided_hit_masks(n_monoid), batch, None)
-    act_conditions = dict.fromkeys(CONDITIONS, True)
-    monoid_conditions = dict.fromkeys(CONDITIONS, True)
-    for cond, cond_instances in instances.items():
-        for a, forb in cond_instances:
-            act_index = right.min_index(a, forb)
-            monoid_index = two_sided.min_index(a, forb)
-            act_conditions[cond] &= act_index is not None
-            monoid_conditions[cond] &= monoid_index is not None
-            if None not in (act_index, monoid_index) and act_index > monoid_index:
-                raise InternalInvariantViolation(
-                    f"{cond}: act-side minimal index {act_index} exceeds the two-sided "
-                    f"one {monoid_index} separating {a} from {sorted(forb)}"
-                )
+    act_minima, monoid_minima = _paired_min_indices(right, two_sided, batch)
+    act_indices = {}
+    monoid_indices = {}
+    for cond, cond_instances in maximal.items():
+        where = list(map(position.__getitem__, cond_instances))
+        act_indices[cond] = _condition_index([act_minima[i] for i in where])
+        monoid_indices[cond] = _condition_index([monoid_minima[i] for i in where])
     return CorrespondenceReport(
         two_sided=True,
         subacts_match_right_ideals=set(act_subacts) == n_ideals,
-        act_conditions=act_conditions,
-        monoid_conditions=monoid_conditions,
+        act_conditions={cond: index is not None for cond, index in act_indices.items()},
+        monoid_conditions={cond: index is not None for cond, index in monoid_indices.items()},
+        act_indices=act_indices,
+        monoid_indices=monoid_indices,
     )

@@ -12,6 +12,7 @@ from actsep.acts import regular_act
 from actsep.catalog import catalog_monoids, enumerate_acts, named_monoids
 from actsep.congruences import (
     all_congruences,
+    quotient_monoid,
     two_sided_violation,
     verify_congruence,
 )
@@ -313,6 +314,12 @@ def test_criterion_8_act_monoid_correspondence():
             assert report.act_conditions == report.monoid_conditions == dict.fromkeys(
                 CONDITIONS, True
             ), entry.name
+            # right congruences include the two-sided ones, and on a
+            # commutative N they are the same congruences
+            for cond in CONDITIONS:
+                assert report.act_indices[cond] <= report.monoid_indices[cond], entry.name
+            if quotient_monoid(monoid, rho).is_commutative:
+                assert report.act_indices == report.monoid_indices, entry.name
             checked += 1
     _report(8, f"act/monoid correspondence on {checked} quotients", checked > 100)
 

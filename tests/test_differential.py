@@ -38,6 +38,8 @@ from actsep.partitions import Partition, partition_from_assignment
 from actsep.separability import (
     CONDITIONS,
     _condition_instances,
+    act_monoid_correspondence,
+    condition_index,
     _hit_masks,
     _SigmaBatch,
     _two_sided_hit_masks,
@@ -51,6 +53,7 @@ from oracles import (
     naive_acts,
     naive_congruences,
     naive_is_associative,
+    naive_min_separating_index,
     naive_partial_closure,
     separates,
 )
@@ -205,20 +208,21 @@ def test_certificates_are_syntactic_congruences():
 
 
 def _two_sided_quotients():
-    """(N, M/rho) for every two-sided congruence rho on the regular act of
-    each catalog monoid of order <= 4; the carrier labels of both are the
-    classes of rho."""
+    """(M, rho, N, M/rho) for every two-sided congruence rho on the regular
+    act of each catalog monoid M of order <= 4, with N = M/rho; the carrier
+    labels of N and M/rho are the classes of rho."""
     for entry in catalog_monoids():
         if entry.monoid.order > 4:
             continue
         for rho in all_congruences(regular_act(entry.monoid)):
             if two_sided_violation(rho) is None:
-                yield quotient_monoid(entry.monoid, rho), quotient(rho.act, rho)[0]
+                n_monoid = quotient_monoid(entry.monoid, rho)
+                yield entry.monoid, rho, n_monoid, quotient(rho.act, rho)[0]
 
 
 def test_two_sided_search_matches_enumeration():
     checked = 0
-    for n_monoid, act in _two_sided_quotients():
+    for _, _, n_monoid, act in _two_sided_quotients():
         reg = regular_act(n_monoid)
         two_sided = [c for c in enumerate_congruences(reg) if two_sided_violation(c) is None]
         instances = {cond: _condition_instances(act, cond, 1 << 16) for cond in CONDITIONS}
@@ -238,6 +242,82 @@ def test_two_sided_search_matches_enumeration():
                 assert right.min_index(a, forbidden) == cert.quotient_size
                 checked += 1
     assert checked > 1000
+
+
+def _full_list_index(batch, instances):
+    """The largest minimal index over a full instance list, 1 when empty."""
+    return max((batch.min_index(a, forbidden) for a, forbidden in instances), default=1)
+
+
+def test_maximal_instances_give_the_full_list_indices():
+    # a congruence that separates a from X separates a from every subset of
+    # X, so the maximal instances reach each condition's largest minimum
+    checked = 0
+    for monoid, rho, n_monoid, act in _two_sided_quotients():
+        report = act_monoid_correspondence(monoid, rho)
+        instances = {cond: _condition_instances(act, cond, 1 << 16) for cond in CONDITIONS}
+        everything = [i for v in instances.values() for i in v]
+        right = _SigmaBatch(_hit_masks(act), everything, None)
+        two_sided = _SigmaBatch(_two_sided_hit_masks(n_monoid), everything, None)
+        for cond, cond_instances in instances.items():
+            assert report.act_indices[cond] == _full_list_index(right, cond_instances)
+            assert report.monoid_indices[cond] == _full_list_index(two_sided, cond_instances)
+            checked += 1
+    assert checked > 400
+
+
+def test_act_side_indices_fall_below_the_two_sided_ones():
+    # over every two-sided quotient of the regular act of the 49 catalog
+    # monoids and three larger ones, the act-side condition index is
+    # strictly smaller in exactly 46 (quotient, condition) pairs, none of
+    # them on a commutative quotient
+    monoids = [entry.monoid for entry in catalog_monoids()]
+    monoids += [
+        build(name, params).monoid
+        for name, params in (("leftzero", {"n": 7}), ("star_semilattice", {"n": 7}), ("semilattice_act", {"n": 8}))
+    ]
+    assert len(monoids) == 52
+    quotients = smaller = 0
+    for monoid in monoids:
+        for rho in all_congruences(regular_act(monoid)):
+            if two_sided_violation(rho) is not None:
+                continue
+            report = act_monoid_correspondence(monoid, rho)
+            quotients += 1
+            below = [c for c in CONDITIONS if report.act_indices[c] < report.monoid_indices[c]]
+            assert not below or not quotient_monoid(monoid, rho).is_commutative
+            smaller += len(below)
+    assert (quotients, smaller) == (1384, 46)
+
+
+def test_condition_index_is_the_largest_certificate():
+    for i, act in enumerate(list(_separation_corpus())[::3]):
+        for cond in CONDITIONS:
+            certificates = check_condition(act, cond).certificates
+            expected = max((c.quotient_size for c in certificates), default=1)
+            assert condition_index(act, cond) == expected
+            if i % 10 == 0:
+                # the condition holds within k exactly from its index on
+                for bound in range(1, act.size + 1):
+                    holds = check_condition(act, cond, max_index=bound).holds
+                    assert holds == (expected <= bound)
+                naive = [
+                    naive_min_separating_index(act, a, forbidden)
+                    for a, forbidden in _condition_instances(act, cond, 1 << 16)
+                ]
+                assert condition_index(act, cond.lower()) == max(naive, default=1)
+
+
+def test_certificate_partitions_pass_the_checked_constructor():
+    # check_condition and separate build their partitions unchecked from
+    # block ids the search has already normalised
+    for act in list(_separation_corpus())[::9]:
+        for cond in CONDITIONS:
+            for cert in check_condition(act, cond).certificates:
+                block_of = cert.congruence.partition.block_of
+                assert Partition(block_of) == cert.congruence.partition
+                cert = separate(act, cert.element, cert.forbidden)
+                assert Partition(cert.congruence.partition.block_of).index == cert.quotient_size
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from actsep.monoids import (
 )
 from actsep.partitions import partition_from_blocks
 from actsep.separability import (
+    CONDITIONS,
     act_monoid_correspondence,
     bracket_profile,
     check_condition,
@@ -382,6 +383,9 @@ def test_correspondence_equality_congruence():
     assert report.equivalences_agree
     assert all(report.act_conditions.values())
     assert all(report.monoid_conditions.values())
+    # N = NULL1 is commutative, so its right congruences are two-sided; s
+    # and z share a class in every congruence of index 2 (s*s = z)
+    assert report.act_indices == report.monoid_indices == dict.fromkeys(CONDITIONS, 3)
 
 
 def test_correspondence_universal_congruence():
@@ -400,27 +404,75 @@ def test_correspondence_right_only_bijection():
     assert not report.two_sided
     assert report.subacts_match_right_ideals
     assert report.act_conditions is None
+    assert report.act_indices is None and report.monoid_indices is None
     with pytest.raises(NotTwoSidedCongruence):
         act_monoid_correspondence(rb, rho, monoid_side=True)
 
 
 def test_correspondence_cap_bounds_each_condition():
-    # the cap bounds the candidate sets of each condition on its own: the
-    # largest condition's count passes, one less aborts
+    # the cap bounds the candidate sets of each condition's maximal
+    # instances on its own: the largest condition's count passes, one less
+    # aborts
+    from actsep.acts import cyclic_subacts
     from actsep.congruences import equality_congruence, quotient
     from actsep.errors import SearchSpaceTooLarge
-    from actsep.separability import CONDITIONS, _condition_instances
+    from actsep.separability import _maximal_instances
 
     rho = equality_congruence(regular_act(NULL1))
     act = quotient(rho.act, rho)[0]
     counts = [
-        sum(1 << (act.size - len(forb) - 1) for _, forb in _condition_instances(act, cond, 1 << 16))
+        sum(1 << (act.size - len(forb) - 1) for _, forb in _maximal_instances(act, cond, cyclic_subacts(act)))
         for cond in CONDITIONS
     ]
     assert sum(counts) > max(counts)
     assert act_monoid_correspondence(NULL1, rho, cap=max(counts)).equivalences_agree
     with pytest.raises(SearchSpaceTooLarge):
         act_monoid_correspondence(NULL1, rho, cap=max(counts) - 1)
+
+
+def test_maximal_instances():
+    # NULL1 = {1, s, z} on itself: the orbits are {z}, {s, z} and everything
+    from actsep.acts import cyclic_subacts
+    from actsep.separability import _maximal_instances
+
+    act = regular_act(NULL1)
+    orbits = cyclic_subacts(act)
+    assert set(orbits) == {frozenset({0, 1, 2}), frozenset({1, 2}), frozenset({2})}
+
+    def maximal(cond):
+        return {(a, tuple(sorted(x))) for a, x in _maximal_instances(act, cond, orbits)}
+
+    assert maximal("RF") == {(0, (1,)), (0, (2,)), (1, (2,))}
+    assert maximal("CS") == {(0, (1, 2)), (1, (0, 2)), (2, (0, 1))}
+    assert maximal("SSS") == {(0, (1, 2)), (1, (2,))}
+    assert maximal("WSS") == {(0, (1, 2)), (1, (2,))}
+    with pytest.raises(InvalidSpec):
+        _maximal_instances(act, "XSS", orbits)
+
+
+def test_condition_index_without_listing_subacts():
+    # SSS by one maximal instance per element: the check over every subact
+    # gives up on 4 copies (candidate sets) and 5 copies (subacts) of the
+    # kozhukhov n=2 act, while the index needs 56 and 70 candidate sets
+    from actsep.acts import cyclic_subacts
+    from actsep.errors import SearchSpaceTooLarge
+    from actsep import condition_index
+    from actsep.families import build
+    from actsep.separability import _maximal_instances
+
+    base = build("kozhukhov", {"n": 2}).act
+    for copies, candidates in ((4, 56), (5, 70)):
+        union = disjoint_union([base] * copies)[0]
+        with pytest.raises(SearchSpaceTooLarge):
+            check_condition(union, "sss")
+        instances = _maximal_instances(union, "SSS", cyclic_subacts(union))
+        assert sum(1 << (union.size - len(forb) - 1) for _, forb in instances) == candidates
+        assert condition_index(union, "SSS") == 4
+        assert condition_index(union, "CS") == 5
+    with pytest.raises(SearchSpaceTooLarge):
+        condition_index(union, "RF")
+    with pytest.raises(InvalidSpec):
+        condition_index(base, "XSS")
 
 
 def test_cs_batch_walks_alone_without_computing_u():
@@ -459,6 +511,13 @@ def test_monoid_side_rejects_an_act_side_minimum_above_it(monkeypatch):
     monkeypatch.setattr(separability, "_hit_masks", equality_masks)
     with pytest.raises(InternalInvariantViolation, match="exceeds the two-sided one 2"):
         act_monoid_correspondence(NULL1, rho)
+    # a single instance walks alone on both sides, and is checked on its own
+    single = [(0, frozenset({1}))]
+    right = separability._SigmaBatch(equality_masks(reg), single, None)
+    two_sided = separability._SigmaBatch(separability._two_sided_hit_masks(NULL1), single, None)
+    assert right.table is None and two_sided.table is None
+    with pytest.raises(InternalInvariantViolation, match="index 3 exceeds the two-sided one 2"):
+        separability._paired_min_indices(right, two_sided, single)
 
 
 def test_is_clifford_predicate():
