@@ -147,6 +147,15 @@ def _report_json(report) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+def _file_stem(name: str) -> str:
+    """The name with each path separator replaced by '_' (quotient acts are
+    named '<name>/rho').  With no separator left, even '..' is only the
+    start of one longer file name, so no name leads out of the directory."""
+    for sep in filter(None, (os.sep, os.altsep)):
+        name = name.replace(sep, "_")
+    return name
+
+
 def _cmd_check(args) -> int:
     act = _load_act(args.act, args.monoid_file)
     if isinstance(act, PartialAct):
@@ -161,7 +170,7 @@ def _cmd_check(args) -> int:
         outdir = Path(args.certificates)
         outdir.mkdir(parents=True, exist_ok=True)
         for k, cert in enumerate(report.certificates):
-            path = outdir / f"{act.name}_{report.condition.lower()}_{k:04d}.cert"
+            path = outdir / f"{_file_stem(act.name)}_{report.condition.lower()}_{k:04d}.cert"
             path.write_text(textio.write_certificate(cert), encoding="ascii")
     return 0 if report.holds else 1
 

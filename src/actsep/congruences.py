@@ -33,6 +33,7 @@ from .errors import (
 from .monoids import FiniteMonoid, monoid_from_table
 from .partitions import (
     Partition,
+    _normal_partition,
     equality_partition,
     partition_from_assignment,
     universal_partition,
@@ -232,7 +233,8 @@ def enumerate_congruences(
 
     def rec(i: int, used: int) -> Iterator[Congruence]:
         if i == size:
-            yield Congruence(act, Partition(tuple(assign)))
+            # a restricted-growth string is already in first-occurrence form
+            yield Congruence(act, _normal_partition(tuple(assign)))
             return
         top = used if used == bound else used + 1
         for b in range(top):

@@ -94,6 +94,27 @@ def test_check_writes_certificates(kozh_files, tmp_path, capsys):
     parse_certificate(files[0].read_text(), act)
 
 
+def test_check_certificates_of_names_with_separators(tmp_path, capsys):
+    # quotient acts are named "<name>/rho": each separator becomes "_" in
+    # the certificate file names, so no name writes outside the directory
+    assert main(["family", "dump", "--name", "clifford_tower", "--param", "n=2", "--out", str(tmp_path)]) == 0
+    monoid_path, act_path = tmp_path / "clifford_tower.monoid", tmp_path / "clifford_tower.act"
+    name = act_path.read_text().splitlines()[0].split()[1]
+    assert name.endswith("/rho")
+    args = ["check", "--act", str(act_path), "--monoid-file", str(monoid_path), "--condition", "rf"]
+    certdir = tmp_path / "certs"
+    assert main([*args, "--certificates", str(certdir)]) == 0
+    stem = name.replace("/", "_")
+    files = sorted(path.name for path in certdir.iterdir())
+    assert files and all(f.startswith(f"{stem}_rf_") for f in files)
+    act_path.write_text(act_path.read_text().replace(f"act {name}\n", "act ../../escaped\n", 1))
+    deep = certdir / "a" / "b"
+    assert main([*args, "--certificates", str(deep)]) == 0
+    capsys.readouterr()
+    assert sorted(path.name for path in deep.iterdir()) == [f.replace(stem, ".._.._escaped", 1) for f in files]
+    assert not list(tmp_path.rglob("escaped*"))
+
+
 def test_cli_deterministic(kozh_files, capsys):
     monoid, act = kozh_files
     main(["check", "--act", str(act), "--monoid-file", str(monoid), "--condition", "sss"])

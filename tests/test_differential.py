@@ -266,6 +266,37 @@ def test_maximal_instances_give_the_full_list_indices():
     assert checked > 400
 
 
+def test_memoised_correspondence_matches_the_public_index():
+    # the memo is keyed by the quotient monoid N; its act-side indices must
+    # equal condition_index on the real act M/rho, whose columns are
+    # indexed by M, on every two-sided quotient of the 49 catalog monoids
+    from actsep import separability
+    from actsep.congruences import _quotient_act
+
+    quotients = [
+        (entry.monoid, rho)
+        for entry in catalog_monoids()
+        for rho in all_congruences(regular_act(entry.monoid))
+        if two_sided_violation(rho) is None
+    ]
+    assert len(quotients) == 242
+    separability._two_sided_memo.cache_clear()
+    cold = [act_monoid_correspondence(monoid, rho) for monoid, rho in quotients]
+    for (monoid, rho), report in zip(quotients, cold):
+        act = _quotient_act(rho.act, rho)
+        for cond in CONDITIONS:
+            assert report.act_indices[cond] == condition_index(act, cond)
+    warm = [act_monoid_correspondence(monoid, rho) for monoid, rho in quotients]
+    assert warm == cold
+    # each report owns its mappings: changing one leaves the next unchanged
+    monoid, rho = quotients[-1]
+    expected = dict(warm[-1].act_indices)
+    warm[-1].act_indices["RF"] = 0
+    warm[-1].act_conditions["RF"] = False
+    again = act_monoid_correspondence(monoid, rho)
+    assert again.act_indices == expected and all(again.act_conditions.values())
+
+
 def test_act_side_indices_fall_below_the_two_sided_ones():
     # over every two-sided quotient of the regular act of the 49 catalog
     # monoids and three larger ones, the act-side condition index is

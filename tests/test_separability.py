@@ -430,6 +430,30 @@ def test_correspondence_cap_bounds_each_condition():
         act_monoid_correspondence(NULL1, rho, cap=max(counts) - 1)
 
 
+def test_correspondence_cap_binds_before_and_after_the_memo():
+    # the aborting call comes first, on an empty memo, and stores nothing;
+    # the passing call then fills the memo, and the cap still binds on it
+    from actsep import separability
+    from actsep.acts import cyclic_subacts
+    from actsep.congruences import equality_congruence
+    from actsep.errors import SearchSpaceTooLarge
+    from actsep.separability import _candidate_sets, _maximal_instances
+
+    rho = equality_congruence(regular_act(NULL1))
+    act = rho.act  # the equality quotient of NULL1 has NULL1's own table
+    largest = max(
+        _candidate_sets(act.size, _maximal_instances(act, cond, cyclic_subacts(act))) for cond in CONDITIONS
+    )
+    separability._two_sided_memo.cache_clear()
+    with pytest.raises(SearchSpaceTooLarge) as aborted:
+        act_monoid_correspondence(NULL1, rho, cap=largest - 1)
+    assert separability._two_sided_memo(NULL1.table, NULL1.identity) == []
+    assert act_monoid_correspondence(NULL1, rho, cap=largest).equivalences_agree
+    with pytest.raises(SearchSpaceTooLarge) as again:
+        act_monoid_correspondence(NULL1, rho, cap=largest - 1)
+    assert (again.value.estimate, again.value.cap) == (aborted.value.estimate, aborted.value.cap)
+
+
 def test_maximal_instances():
     # NULL1 = {1, s, z} on itself: the orbits are {z}, {s, z} and everything
     from actsep.acts import cyclic_subacts
@@ -509,6 +533,9 @@ def test_monoid_side_rejects_an_act_side_minimum_above_it(monkeypatch):
         return [[1 << (y * act.size + x) for x in act.carrier()] for y in act.carrier()]
 
     monkeypatch.setattr(separability, "_hit_masks", equality_masks)
+    # the first call stored N = NULL1's entry; without clearing it the
+    # second call would read it and never reach the faulty masks
+    separability._two_sided_memo.cache_clear()
     with pytest.raises(InternalInvariantViolation, match="exceeds the two-sided one 2"):
         act_monoid_correspondence(NULL1, rho)
     # a single instance walks alone on both sides, and is checked on its own
@@ -518,6 +545,30 @@ def test_monoid_side_rejects_an_act_side_minimum_above_it(monkeypatch):
     assert right.table is None and two_sided.table is None
     with pytest.raises(InternalInvariantViolation, match="index 3 exceeds the two-sided one 2"):
         separability._paired_min_indices(right, two_sided, single)
+
+
+def test_correspondence_rejects_a_forged_quotient_act(monkeypatch):
+    # the memo is keyed by N's table, which stands for the act M/rho only
+    # while the act's distinct columns are N's right translations
+    from dataclasses import replace
+
+    from actsep import separability
+    from actsep.congruences import equality_congruence
+
+    rho = equality_congruence(regular_act(NULL1))
+    act_monoid_correspondence(NULL1, rho)
+    real = separability._quotient_act
+
+    def forged(act, congruence):
+        # swap the images of 0 and 1 under s: column (1, 2, 2) becomes (2, 1, 2)
+        quot = real(act, congruence)
+        rows = [list(row) for row in quot.table]
+        rows[0][1], rows[1][1] = rows[1][1], rows[0][1]
+        return replace(quot, table=tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(separability, "_quotient_act", forged)
+    with pytest.raises(InternalInvariantViolation, match="right translations"):
+        act_monoid_correspondence(NULL1, rho)
 
 
 def test_is_clifford_predicate():
