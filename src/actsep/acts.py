@@ -260,12 +260,7 @@ def cyclic_subacts(act: FiniteAct) -> tuple[frozenset[int], ...]:
 def subacts(act: FiniteAct, cap: int = DEFAULT_SUBACT_CAP) -> tuple[frozenset[int], ...]:
     """All subacts, as unions of the distinct cyclic subacts, sorted by
     (size, members)."""
-    return _orbit_unions(cyclic_subacts(act), cap)
-
-
-def _orbit_unions(orbits: Sequence[frozenset[int]], cap: int) -> tuple[frozenset[int], ...]:
-    """subacts(act, cap) from orbits = cyclic_subacts(act), for a caller that
-    needs the orbits too."""
+    orbits = cyclic_subacts(act)
     if 1 << len(orbits) > cap:
         raise SearchSpaceTooLarge(1 << len(orbits), cap)
     return tuple(frozenset(s) for s in _distinct_unions(orbits))

@@ -618,23 +618,19 @@ def verify(instance: FamilyInstance, cap: int = DEFAULT_SEARCH_CAP) -> FamilyRep
 # report formatting (shared by the CLI and the golden files)
 
 
-def _lab(act, i: int) -> str:
-    return act.label(i)
-
-
 def _fact_line(instance: FamilyInstance, result: FactResult) -> str:
     act = instance.act
     fact = result.fact
     status = "pass" if result.passed else "fail"
     if isinstance(fact, ForcingChain):
         return (
-            f"fact ForcingChain seed={_lab(act, fact.seed[0])}|{_lab(act, fact.seed[1])} "
-            f"target={_lab(act, fact.target[0])}|{_lab(act, fact.target[1])} status={status}"
+            f"fact ForcingChain seed={act.label(fact.seed[0])}|{act.label(fact.seed[1])} "
+            f"target={act.label(fact.target[0])}|{act.label(fact.target[1])} status={status}"
         )
     if isinstance(fact, MinIndexFact):
-        forb = "|".join(_lab(act, x) for x in fact.forbidden)
+        forb = "|".join(act.label(x) for x in fact.forbidden)
         return (
-            f"fact MinIndex element={_lab(act, fact.element)} forbidden={forb} "
+            f"fact MinIndex element={act.label(fact.element)} forbidden={forb} "
             f"expected={fact.value} actual={result.actual} status={status}"
         )
     if isinstance(fact, CongruenceWitness):
@@ -645,7 +641,7 @@ def _fact_line(instance: FamilyInstance, result: FactResult) -> str:
         )
     if isinstance(fact, NoSeparationUpTo):
         return (
-            f"fact NoSeparationUpTo element={_lab(act, fact.element)} bound={fact.bound} "
+            f"fact NoSeparationUpTo element={act.label(fact.element)} bound={fact.bound} "
             f"result={result.actual} status={status}"
         )
     if isinstance(fact, StructuralCount):

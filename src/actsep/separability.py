@@ -10,14 +10,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, count
 from operator import gt, xor
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .acts import (
     DEFAULT_SUBACT_CAP,
     FiniteAct,
-    _orbit_unions,
     cyclic_subacts,
     preorder_and_green,
+    regular_act,
     require_subact,
     subact_as_act,
     subacts,
@@ -152,13 +152,6 @@ def _candidate_sets(size: int, instances: Sequence[tuple[int, frozenset[int]]]) 
     return sum(1 << (size - len(forb) - 1) for _, forb in instances)
 
 
-def _require_totals_within_cap(totals: Iterable[int], cap: int) -> None:
-    """Raise SearchSpaceTooLarge at the first total above cap."""
-    for total in totals:
-        if total > cap:
-            raise SearchSpaceTooLarge(total, cap)
-
-
 def _require_within_cap(
     size: int,
     instances: Sequence[tuple[int, frozenset[int]]],
@@ -169,7 +162,9 @@ def _require_within_cap(
     cap candidate sets, none at all below bound 2."""
     if max_index is not None and max_index < 2:
         return
-    _require_totals_within_cap([_candidate_sets(size, instances)], cap)
+    total = _candidate_sets(size, instances)
+    if total > cap:
+        raise SearchSpaceTooLarge(total, cap)
 
 
 def _hit_masks(act: FiniteAct) -> list[list[int]]:
@@ -792,101 +787,58 @@ def _paired_min_indices(
     batches over the same instances and carrier, so with a table both or
     neither.  The right syntactic congruence of C contains the two-sided
     one (take m = 1 in m*x*k), so it has at most its index, for every C:
-    with tables this is checked once over the whole tables, else per
-    instance, and a violation raises InternalInvariantViolation."""
+    this is checked over the whole tables when there are tables, and on
+    each instance's minima always; a violation raises
+    InternalInvariantViolation."""
+    if right.table is not None:
+        table, other = right.table, two_sided.table
+        c = next(compress(count(), map(gt, table, other)), None)
+        if c is not None:
+            members = [y for i, y in enumerate(right.free) if c >> i & 1]
+            raise InternalInvariantViolation(
+                f"act-side index {table[c]} of sigma_C exceeds the two-sided "
+                f"one {other[c]} for C = {members}"
+            )
     act_minima: list[int | None] = []
     monoid_minima: list[int | None] = []
-    if right.table is None:
-        for a, forb in instances:
-            act_index = right.min_index(a, forb)
-            monoid_index = two_sided.min_index(a, forb)
-            if None not in (act_index, monoid_index) and act_index > monoid_index:
-                raise InternalInvariantViolation(
-                    f"act-side minimal index {act_index} exceeds the two-sided "
-                    f"one {monoid_index} separating {a} from {sorted(forb)}"
-                )
-            act_minima.append(act_index)
-            monoid_minima.append(monoid_index)
-        return act_minima, monoid_minima
-    table, other = right.table, two_sided.table
-    c = next(compress(count(), map(gt, table, other)), None)
-    if c is not None:
-        members = [y for i, y in enumerate(right.free) if c >> i & 1]
-        raise InternalInvariantViolation(
-            f"act-side index {table[c]} of sigma_C exceeds the two-sided "
-            f"one {other[c]} for C = {members}"
-        )
-    bit, full, bound = right.bit, len(table) - 1, right.bound
     for a, forb in instances:
-        # the submask walk of _SigmaBatch._ties, on both tables at once
-        own = bit[a]
-        allowed = full & ~own
-        for x in forb:
-            allowed &= ~bit.get(x, 0)
-        act_index = monoid_index = bound + 1
-        sub = allowed
-        while True:
-            c = sub | own
-            if table[c] < act_index:
-                act_index = table[c]
-            if other[c] < monoid_index:
-                monoid_index = other[c]
-            if not sub:
-                break
-            sub = (sub - 1) & allowed
-        act_minima.append(act_index if act_index <= bound else None)
-        monoid_minima.append(monoid_index if monoid_index <= bound else None)
+        act_index = right.min_index(a, forb)
+        monoid_index = two_sided.min_index(a, forb)
+        if None not in (act_index, monoid_index) and act_index > monoid_index:
+            raise InternalInvariantViolation(
+                f"act-side minimal index {act_index} exceeds the two-sided "
+                f"one {monoid_index} separating {a} from {sorted(forb)}"
+            )
+        act_minima.append(act_index)
+        monoid_minima.append(monoid_index)
     return act_minima, monoid_minima
 
 
-class _TwoSidedEntry(NamedTuple):
-    """What act_monoid_correspondence finds for a two-sided quotient, all of
-    it fixed by N = M/rho: per condition, in CONDITIONS order, the candidate
-    sets of its maximal instances and its index on each side, and whether
-    the subacts of M/rho are the right ideals of N."""
-
-    totals: tuple[int, ...]
-    subacts_match: bool
-    act_indices: tuple[int | None, ...]
-    monoid_indices: tuple[int | None, ...]
-
-
 # one round of perfbench's lattice workload meets 87 distinct quotient monoids
-_TWO_SIDED_MEMO_SIZE = 128
-
-
-@lru_cache(maxsize=_TWO_SIDED_MEMO_SIZE)
-def _two_sided_memo(table: tuple[tuple[int, ...], ...], identity: int) -> list[_TwoSidedEntry]:
-    """The memo slot of the quotient monoid with this table and identity:
-    empty until act_monoid_correspondence stores its entry there.  The slot
-    is cached rather than the entry so that a miss, which solves from the
-    act and monoid at hand, checks the cap before it searches."""
-    return []
-
-
-def _solve_two_sided(act: FiniteAct, n_monoid: FiniteMonoid, cap: int) -> _TwoSidedEntry:
-    """The entry for the act M/rho and N = M/rho; see act_monoid_correspondence."""
+@lru_cache(maxsize=128)
+def _two_sided_memo(
+    table: tuple[tuple[int, ...], ...], identity: int, cap: int
+) -> tuple[tuple[int | None, ...], tuple[int | None, ...]]:
+    """The act-side and the monoid-side index of each condition, in
+    CONDITIONS order, for the quotient monoid N with this table and
+    identity, solved on N's regular act; see act_monoid_correspondence.
+    Each condition's candidate sets are checked against cap before any
+    search, and a raise stores nothing, so a hit means that this cap
+    already passed on this N."""
+    n_monoid = FiniteMonoid(table, identity)
+    act = regular_act(n_monoid)
     orbits = cyclic_subacts(act)
-    act_subacts = _orbit_unions(orbits, DEFAULT_SUBACT_CAP)
-    n_ideals = {frozenset(i) for i in right_ideals(n_monoid)}
     maximal = [_maximal_instances(act, cond, orbits) for cond in CONDITIONS]
-    totals = tuple(_candidate_sets(act.size, cond_instances) for cond_instances in maximal)
-    _require_totals_within_cap(totals, cap)
-    position: dict[tuple[int, frozenset[int]], int] = {}
     for cond_instances in maximal:
-        for instance in cond_instances:
-            position.setdefault(instance, len(position))
-    batch = list(position)
+        _require_within_cap(act.size, cond_instances, None, cap)
+    batch = list(dict.fromkeys(instance for cond_instances in maximal for instance in cond_instances))
     right = _SigmaBatch(_hit_masks(act), batch, None)
     two_sided = _SigmaBatch(_two_sided_hit_masks(n_monoid), batch, None)
     act_minima, monoid_minima = _paired_min_indices(right, two_sided, batch)
-    act_indices = []
-    monoid_indices = []
-    for cond_instances in maximal:
-        where = list(map(position.__getitem__, cond_instances))
-        act_indices.append(_condition_index([act_minima[i] for i in where]))
-        monoid_indices.append(_condition_index([monoid_minima[i] for i in where]))
-    return _TwoSidedEntry(totals, set(act_subacts) == n_ideals, tuple(act_indices), tuple(monoid_indices))
+    return tuple(
+        tuple(_condition_index([minimum[i] for i in cond_instances]) for cond_instances in maximal)
+        for minimum in (dict(zip(batch, act_minima)), dict(zip(batch, monoid_minima)))
+    )
 
 
 def act_monoid_correspondence(
@@ -898,36 +850,34 @@ def act_monoid_correspondence(
     """For N = M/rho: subacts of the act M/rho are the right ideals of N, and
     each act-side separability condition matches its monoid-side analogue.
 
+    For a two-sided rho, column m of the act M/rho is the right translation
+    of N by [m], so the act's distinct columns are N's: every call builds
+    M/rho and N and checks this, else InternalInvariantViolation.  The
+    subacts, being the subsets closed under the act's columns, are then the
+    right ideals of N, so subacts_match_right_ideals is True and no subact
+    is enumerated.  Everything else (orbits, maximal instances, syntactic
+    congruences) depends on N alone, so the indices come from
+    _two_sided_memo, which solves on N's regular act and keeps the last 128
+    results keyed by N's table, identity and cap.  Each report gets fresh
+    mappings.
+
     Each condition is decided, and its condition index found, from its
     maximal instances alone (see _maximal_instances), deduplicated across
     the four conditions: at most n for SSS, one per element and maximal
-    orbit missing it for WSS.  Each is solved on both sides, on the carrier
-    labels that M/rho and N share: for the minimal right congruence of the
-    act (a _SigmaBatch on _hit_masks), and for the minimal two-sided
-    congruence of N, which is the two-sided syntactic congruence of some C
-    with a in C and C disjoint from X (the same batch on
-    _two_sided_hit_masks).  The two batches have the same instances and
-    carrier, so both have a table of sigma_C indices or neither has; with
-    tables, one pass over each instance's candidate sets reads both.  Only
-    minimal indices are compared; no congruence is enumerated and no
-    certificate is built.
+    orbit missing it for WSS.  Each is solved on both sides: for the
+    minimal right congruence of the act (a _SigmaBatch on _hit_masks), and
+    for the minimal two-sided congruence of N, which is the two-sided
+    syntactic congruence of some C with a in C and C disjoint from X (the
+    same batch on _two_sided_hit_masks).  Only minimal indices are
+    compared; no congruence is enumerated and no certificate is built.
 
     Right congruences include the two-sided ones, so the act-side sigma_C
-    has at most the index of the two-sided one for every C: checked once
-    over the whole tables, else per instance, and a violation raises
+    has at most the index of the two-sided one for every C: checked over
+    the whole tables of sigma_C indices when the batches have them and on
+    each instance's minima always, and a violation raises
     InternalInvariantViolation.  The cap bounds the candidate sets of each
-    condition's maximal instances on its own; N has the order of the act's
-    carrier, so one check covers both sides.
-
-    For a two-sided rho, column m of the act M/rho is the right translation
-    of N by [m], so the act's distinct columns are N's, and everything
-    above (orbits, subacts, syntactic congruences, right ideals) depends on
-    N alone.  Every call builds M/rho and N, checks that their columns
-    agree (else InternalInvariantViolation), and then looks the results up
-    in a memo of the last _TWO_SIDED_MEMO_SIZE quotient monoids by N's
-    table and identity; the cap is checked on every call, against the
-    candidate-set totals kept there on a hit and before any search on a
-    miss.  Each report gets fresh mappings.
+    condition's maximal instances on its own, checked before any search;
+    N has the order of the act's carrier, so one check covers both sides.
 
     A right-only congruence checks the bijection alone, against the
     rho-saturated right ideals of M; requesting monoid_side on such input
@@ -955,18 +905,12 @@ def act_monoid_correspondence(
         )
     if set(zip(*act.table)) != set(zip(*n_monoid.table)):
         raise InternalInvariantViolation("the columns of M/rho are not the right translations of N = M/rho")
-    slot = _two_sided_memo(n_monoid.table, n_monoid.identity)
-    if slot:
-        entry = slot[0]
-        _require_totals_within_cap(entry.totals, cap)
-    else:
-        entry = _solve_two_sided(act, n_monoid, cap)
-        slot.append(entry)
-    act_indices = dict(zip(CONDITIONS, entry.act_indices))
-    monoid_indices = dict(zip(CONDITIONS, entry.monoid_indices))
+    act_indices, monoid_indices = (
+        dict(zip(CONDITIONS, indices)) for indices in _two_sided_memo(n_monoid.table, n_monoid.identity, cap)
+    )
     return CorrespondenceReport(
         two_sided=True,
-        subacts_match_right_ideals=entry.subacts_match,
+        subacts_match_right_ideals=True,
         act_conditions={cond: index is not None for cond, index in act_indices.items()},
         monoid_conditions={cond: index is not None for cond, index in monoid_indices.items()},
         act_indices=act_indices,

@@ -17,6 +17,7 @@ from actsep.acts import (
     decompose,
     partial_act_from_table,
     regular_act,
+    subacts,
 )
 from actsep.catalog import catalog_monoids, enumerate_acts
 from actsep.congruences import (
@@ -47,7 +48,7 @@ from actsep.separability import (
     separate,
     sigma_a,
 )
-from actsep.monoids import cyclic_group, monoid_from_table
+from actsep.monoids import cyclic_group, monoid_from_table, right_ideals
 from oracles import (
     naive_act_violation,
     naive_acts,
@@ -295,6 +296,21 @@ def test_memoised_correspondence_matches_the_public_index():
     warm[-1].act_conditions["RF"] = False
     again = act_monoid_correspondence(monoid, rho)
     assert again.act_indices == expected and all(again.act_conditions.values())
+
+
+def test_two_sided_subacts_are_the_right_ideals():
+    # act_monoid_correspondence reports subacts_match_right_ideals = True on
+    # every two-sided quotient without listing either side: the subacts of
+    # M/rho are the subsets closed under its columns, N's right translations
+    checked = 0
+    for entry in catalog_monoids():
+        for rho in all_congruences(regular_act(entry.monoid)):
+            if two_sided_violation(rho) is None:
+                act = quotient(rho.act, rho)[0]
+                n_ideals = {frozenset(i) for i in right_ideals(quotient_monoid(entry.monoid, rho))}
+                assert set(subacts(act)) == n_ideals
+                checked += 1
+    assert checked == 242
 
 
 def test_act_side_indices_fall_below_the_two_sided_ones():

@@ -447,11 +447,28 @@ def test_correspondence_cap_binds_before_and_after_the_memo():
     separability._two_sided_memo.cache_clear()
     with pytest.raises(SearchSpaceTooLarge) as aborted:
         act_monoid_correspondence(NULL1, rho, cap=largest - 1)
-    assert separability._two_sided_memo(NULL1.table, NULL1.identity) == []
+    assert separability._two_sided_memo.cache_info().currsize == 0
     assert act_monoid_correspondence(NULL1, rho, cap=largest).equivalences_agree
     with pytest.raises(SearchSpaceTooLarge) as again:
         act_monoid_correspondence(NULL1, rho, cap=largest - 1)
     assert (again.value.estimate, again.value.cap) == (aborted.value.estimate, aborted.value.cap)
+
+
+def test_correspondence_needs_no_subact_cap():
+    # the order-17 chain (max, identity 0) has 17 distinct principal right
+    # ideals, more orbit unions than the subact cap allows; the two-sided
+    # branch lists no subacts, so only the search cap applies
+    from actsep.congruences import equality_congruence
+    from actsep.errors import SearchSpaceTooLarge
+
+    chain = monoid_from_table([[max(i, j) for j in range(17)] for i in range(17)], 0)
+    reg = regular_act(chain)
+    with pytest.raises(SearchSpaceTooLarge) as listed:
+        subacts(reg)
+    assert (listed.value.estimate, listed.value.cap) == (1 << 17, 1 << 16)
+    report = act_monoid_correspondence(chain, equality_congruence(reg))
+    assert report.subacts_match_right_ideals
+    assert report.act_indices == report.monoid_indices == {"RF": 2, "WSS": 2, "SSS": 2, "CS": 3}
 
 
 def test_maximal_instances():
