@@ -24,14 +24,16 @@ from .errors import (
     NotASubact,
     SearchSpaceTooLarge,
 )
-from .monoids import FiniteMonoid, _distinct_unions
+from .monoids import FiniteMonoid, _check_labels, _check_rows, _distinct_unions
 from .partitions import Partition, _normal_partition, partition_from_assignment
 
 DEFAULT_SUBACT_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
-class FiniteAct:
+class _Act:
+    """The fields and carrier queries shared by total and partial acts."""
+
     monoid: FiniteMonoid
     table: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...] | None = None
@@ -41,14 +43,17 @@ class FiniteAct:
     def size(self) -> int:
         return len(self.table)
 
-    def act(self, a: int, m: int) -> int:
-        return self.table[a][m]
-
     def label(self, a: int) -> str:
         return self.labels[a] if self.labels is not None else str(a)
 
     def carrier(self) -> range:
         return range(self.size)
+
+
+@dataclass(frozen=True)
+class FiniteAct(_Act):
+    def act(self, a: int, m: int) -> int:
+        return self.table[a][m]
 
     def orbit(self, a: int) -> frozenset[int]:
         """The cyclic subact <a> = aM (contains a)."""
@@ -62,21 +67,9 @@ class FiniteAct:
 
 
 @dataclass(frozen=True)
-class PartialAct:
-    monoid: FiniteMonoid
+class PartialAct(_Act):
     table: tuple[tuple[int | None, ...], ...]
-    labels: tuple[str, ...] | None = None
     name: str = "P"
-
-    @property
-    def size(self) -> int:
-        return len(self.table)
-
-    def label(self, a: int) -> str:
-        return self.labels[a] if self.labels is not None else str(a)
-
-    def carrier(self) -> range:
-        return range(self.size)
 
     @cached_property
     def _total(self) -> bool:
@@ -92,85 +85,32 @@ class ActHomomorphism:
     map: tuple[int, ...]
 
 
-def _check_labels(labels: Sequence[str] | None, size: int) -> tuple[str, ...] | None:
-    if labels is None:
-        return None
-    if len(labels) != size:
-        raise MalformedTable(f"{len(labels)} labels for carrier of size {size}")
-    for lab in labels:
-        if not lab or any(c.isspace() for c in lab):
-            raise MalformedTable(f"label {lab!r} empty or contains whitespace")
-    return tuple(labels)
-
-
-def act_from_table(
-    monoid: FiniteMonoid,
-    table: Sequence[Sequence[int]],
-    labels: Sequence[str] | None = None,
-    name: str = "A",
-) -> FiniteAct:
-    """Validate both act axioms: a*1 = a, then a*(mk) = (a*m)*k for every
-    a, m and every k in the monoid's generating set.
-
-    Generator columns suffice: the k that satisfy the equation for all a
-    and m contain the identity (by the identity law) and are closed under
-    products (a*(m(kl)) = a*((mk)l) = (a*(mk))*l = ((a*m)*k)*l =
-    (a*m)*(kl)), and every element is a product of generators."""
-    size = len(table)
-    if size == 0:
-        raise MalformedTable("empty carrier")
-    n = monoid.order
-    for row in table:
-        if len(row) != n:
-            raise MalformedTable(f"row of length {len(row)}, expected {n}")
-        for v in row:
-            if not isinstance(v, int) or not 0 <= v < size:
-                raise MalformedTable(f"entry {v!r} out of carrier range [0, {size})")
-    e = monoid.identity
-    for a in range(size):
-        if table[a][e] != a:
-            raise IdentityLawViolation(a)
-    _check_act_equation(monoid, table, monoid.generators)
-    return FiniteAct(monoid, tuple(tuple(r) for r in table), _check_labels(labels, size), name)
-
-
-def partial_act_from_table(
+def _validated(
     monoid: FiniteMonoid,
     table: Sequence[Sequence[int | None]],
-    labels: Sequence[str] | None = None,
-    name: str = "P",
-) -> PartialAct:
-    """Validate a partial act: defined entries in range, a*1 = a whenever
-    defined, and a*(mk) = (a*m)*k whenever all three entries are defined.
+    labels: Sequence[str] | None,
+    partial: bool,
+) -> tuple[tuple[tuple[int | None, ...], ...], tuple[str, ...] | None]:
+    """The rows and labels of a valid act table, in the order of checks:
+    shape and range (None allowed only when partial), a*1 = a whenever
+    defined, a*(mk) = (a*m)*k whenever all three entries are defined (else
+    AssociativityViolation at the first such (a, m, k)), then the labels.
 
-    A table with no undefined entry is an act and is checked over generator
-    columns k only, as in act_from_table.  Otherwise every column k is
-    checked: the argument that generators suffice composes entries, and an
-    undefined one breaks the chain."""
+    A table with no undefined entry is checked over generator columns k
+    only: the k that satisfy the equation for all a and m contain the
+    identity (by the identity law) and are closed under products
+    (a*(m(kl)) = a*((mk)l) = (a*(mk))*l = ((a*m)*k)*l = (a*m)*(kl)), and
+    every element is a product of generators.  Otherwise every column k is
+    checked, since that argument composes entries and an undefined one
+    breaks the chain."""
     size = len(table)
-    if size == 0:
-        raise MalformedTable("empty carrier")
-    n = monoid.order
-    for row in table:
-        if len(row) != n:
-            raise MalformedTable(f"row of length {len(row)}, expected {n}")
-        for v in row:
-            if v is not None and (not isinstance(v, int) or not 0 <= v < size):
-                raise MalformedTable(f"entry {v!r} out of carrier range [0, {size})")
+    _check_rows(table, monoid.order, size, partial)
     e = monoid.identity
-    for a in range(size):
-        if table[a][e] is not None and table[a][e] != a:
+    for a, row in enumerate(table):
+        if row[e] != a and row[e] is not None:
             raise IdentityLawViolation(a)
-    total = not any(None in row for row in table)
-    _check_act_equation(monoid, table, monoid.generators if total else monoid.elements())
-    return PartialAct(monoid, tuple(tuple(r) for r in table), _check_labels(labels, size), name)
-
-
-def _check_act_equation(
-    monoid: FiniteMonoid, table: Sequence[Sequence[int | None]], columns: Sequence[int]
-) -> None:
-    """Raise AssociativityViolation at the first (a, m, k), k among the given
-    columns, where a*(mk) and (a*m)*k are both defined and differ."""
+    total = not partial or not any(None in row for row in table)
+    columns = monoid.generators if total else monoid.elements()
     mt = monoid.table
     for a, row in enumerate(table):
         for m, x in enumerate(row):
@@ -183,6 +123,31 @@ def _check_act_equation(
                 z = row[prods[k]]
                 if y != z and y is not None and z is not None:
                     raise AssociativityViolation(a, m, k)
+    return tuple(tuple(r) for r in table), _check_labels(labels, size)
+
+
+def act_from_table(
+    monoid: FiniteMonoid,
+    table: Sequence[Sequence[int]],
+    labels: Sequence[str] | None = None,
+    name: str = "A",
+) -> FiniteAct:
+    """Validate both act axioms, a*1 = a and a*(mk) = (a*m)*k, the latter
+    over the monoid's generator columns k (see _validated)."""
+    return FiniteAct(monoid, *_validated(monoid, table, labels, False), name)  # type: ignore[arg-type]
+
+
+def partial_act_from_table(
+    monoid: FiniteMonoid,
+    table: Sequence[Sequence[int | None]],
+    labels: Sequence[str] | None = None,
+    name: str = "P",
+) -> PartialAct:
+    """Validate a partial act: defined entries in range, a*1 = a whenever
+    defined, and a*(mk) = (a*m)*k whenever all three entries are defined;
+    over generator columns k when no entry is undefined and over every
+    column otherwise (see _validated)."""
+    return PartialAct(monoid, *_validated(monoid, table, labels, True), name)
 
 
 def act_homomorphism(source: FiniteAct, target: FiniteAct, mapping: Sequence[int]) -> ActHomomorphism:

@@ -27,6 +27,7 @@ from .congruences import DEFAULT_SEARCH_CAP, quotient, verify_congruence
 from .errors import ParamOutOfRange, UnknownFamily
 from .monoids import (
     FiniteMonoid,
+    adjoin_identity,
     cyclic_group,
     left_zero_adjoined,
     monoid_from_table,
@@ -114,22 +115,12 @@ class FamilyReport:
 
 
 def _truncated_monogenic(w: int) -> FiniteMonoid:
-    """{1, x, .., x^w, z}: powers of one generator with an overflow sink."""
-    size = w + 2
-    sink = w + 1
-    table = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            if i == sink or j == sink or i + j > w:
-                row.append(sink)
-            else:
-                row.append(i + j)
-        table.append(row)
-    labels = ["1", "x"] + [f"x^{k}" for k in range(2, w + 1)] + ["z"]
-    if w == 0:
-        labels = ["1", "z"]
-    return monoid_from_table(table, 0, labels, name=f"FreeMono{w}")
+    """{1, x, .., x^w, z}: powers of one generator with an overflow sink,
+    the semigroup {x, .., x^w, z} with an identity adjoined."""
+    sink = w  # x^(i+1) is element i of the semigroup
+    table = [[sink if i + j + 2 > w else i + j + 1 for j in range(w + 1)] for i in range(w + 1)]
+    labels = [f"x^{k}" if k > 1 else "x" for k in range(1, w + 1)] + ["z"]
+    return adjoin_identity(table, labels, name=f"FreeMono{w}")
 
 
 # ---------------------------------------------------------------------------
@@ -287,25 +278,14 @@ _SQUAREFREE_COUNTS = {1: 3, 2: 9, 3: 21, 4: 39, 5: 69, 6: 111}
 
 def _build_squarefree(n: int) -> FamilyInstance:
     words = _square_free_words(n)
-    size = len(words) + 2
-    zero = size - 1
+    zero = len(words) + 1
     index = {w: i + 1 for i, w in enumerate(words)}
-    table = [[0] * size for _ in range(size)]
-    table[0] = list(range(size))
-    for i in range(size):
-        table[i][0] = i
-    for u in words:
-        for v in words:
-            cat = u + v
-            value = zero
-            if len(cat) <= n and not _has_square(cat):
-                value = index[cat]
-            table[index[u]][index[v]] = value
-        table[index[u]][zero] = zero
-        table[zero][index[u]] = zero
-    table[zero][zero] = zero
+    # the semigroup of the words and 0, one index below the monoid's: a
+    # product is its concatenation when that is a word, else 0
+    table = [[index.get(u + v, zero) - 1 for v in words] + [zero - 1] for u in words]
+    table.append([zero - 1] * zero)
     labels = ["1"] + words + ["0"]
-    monoid = monoid_from_table(table, 0, labels, name=f"sqfree{n}")
+    monoid = adjoin_identity(table, labels[1:], name=f"sqfree{n}")
     act = regular_act(monoid, name=f"sqfree{n}")
     marked = {lab: i for i, lab in enumerate(labels)}
     facts: list[Fact] = [
@@ -334,29 +314,21 @@ def _build_squarefree(n: int) -> FamilyInstance:
 def _build_n_times_g(n: int, g: int) -> FamilyInstance:
     group = cyclic_group(g)
     overflow = n  # internal marker for the collapsed tail of the naturals
-    m_order = 1 + (n + 1) * g
-
-    def m_idx(p: int, u: int) -> int:
-        return 1 + p * g + u
-
-    table = [[0] * m_order for _ in range(m_order)]
-    table[0] = list(range(m_order))
-    for i in range(m_order):
-        table[i][0] = i
-    for p in range(n + 1):
-        for u in range(g):
-            for q in range(n + 1):
-                for v in range(g):
-                    if p == overflow or q == overflow or (p + 1) + (q + 1) > n:
-                        r = overflow
-                    else:
-                        r = p + q + 1
-                    table[m_idx(p, u)][m_idx(q, v)] = m_idx(r, (u + v) % g)
-    m_labels = ["1"]
+    # the semigroup: (p, u) at index p*g + u, one below the monoid's
+    table = [
+        [
+            (overflow if overflow in (p, q) or (p + 1) + (q + 1) > n else p + q + 1) * g + (u + v) % g
+            for q in range(n + 1)
+            for v in range(g)
+        ]
+        for p in range(n + 1)
+        for u in range(g)
+    ]
+    m_labels = []
     for p in range(n + 1):
         tag = "J" if p == overflow else str(p + 1)
         m_labels.extend(f"({tag},{group.label(u)})" for u in range(g))
-    monoid = monoid_from_table(table, 0, m_labels, name=f"NxG{n}_{g}")
+    monoid = adjoin_identity(table, m_labels, name=f"NxG{n}_{g}")
 
     carrier = 1 + n * g
 
@@ -510,18 +482,10 @@ def _build_semilattice_act(n: int) -> FamilyInstance:
 def _build_star_semilattice(n: int) -> FamilyInstance:
     size = n + 2
     zero = n + 1
-    table = [[0] * size for _ in range(size)]
-    table[0] = list(range(size))
-    for i in range(size):
-        table[i][0] = i
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            table[i][j] = i if i == j else zero
-        table[i][zero] = zero
-        table[zero][i] = zero
-    table[zero][zero] = zero
+    # the semigroup {x1, .., xn, 0} with xi xi = xi and every other product 0
+    table = [[i if i == j else n for j in range(n + 1)] for i in range(n + 1)]
     labels = ["1"] + [f"x{i}" for i in range(1, n + 1)] + ["0"]
-    monoid = monoid_from_table(table, 0, labels, name=f"Star{n}")
+    monoid = adjoin_identity(table, labels[1:], name=f"Star{n}")
     act = regular_act(monoid)
     marked = {lab: i for i, lab in enumerate(labels)}
     facts: list[Fact] = []

@@ -120,16 +120,33 @@ class FiniteMonoid:
         return acc
 
 
-def _check_square(table: Sequence[Sequence[int]]) -> None:
-    n = len(table)
-    if n == 0:
+def _check_rows(table: Sequence[Sequence[int | None]], width: int, bound: int, partial: bool = False) -> None:
+    """The shape check shared by monoid and act tables: raise MalformedTable
+    unless the table has a row, every row has `width` entries, and each entry
+    is an int in [0, bound), or None when the table is partial."""
+    if not table:
         raise MalformedTable("empty table")
     for row in table:
-        if len(row) != n:
-            raise MalformedTable(f"table is not square: row of length {len(row)} in order-{n} table")
+        if len(row) != width:
+            raise MalformedTable(f"row of length {len(row)}, expected {width}")
         for v in row:
-            if not isinstance(v, int) or not 0 <= v < n:
-                raise MalformedTable(f"entry {v!r} out of range [0, {n})")
+            if not isinstance(v, int) or not 0 <= v < bound:
+                if v is None and partial:
+                    continue
+                raise MalformedTable(f"entry {v!r} out of range [0, {bound})")
+
+
+def _check_labels(labels: Sequence[str] | None, size: int) -> tuple[str, ...] | None:
+    """The labels as a tuple: one per element, each non-empty and free of
+    whitespace, else MalformedTable."""
+    if labels is None:
+        return None
+    if len(labels) != size:
+        raise MalformedTable(f"{len(labels)} labels for {size} elements")
+    for lab in labels:
+        if not lab or any(c.isspace() for c in lab):
+            raise MalformedTable(f"label {lab!r} empty or contains whitespace")
+    return tuple(labels)
 
 
 def _generators(table: Sequence[Sequence[int]], identity: int) -> tuple[int, ...]:
@@ -193,8 +210,8 @@ def monoid_from_table(
 
     Raises MalformedTable, BadIdentity or NotAssociative with the witness.
     """
-    _check_square(table)
     n = len(table)
+    _check_rows(table, n, n)
     if not 0 <= identity < n:
         raise BadIdentity(identity)
     for i in range(n):
@@ -202,14 +219,7 @@ def monoid_from_table(
             raise BadIdentity(i)
     gens = _generators(table, identity)
     _check_associative(table, gens)
-    if labels is not None:
-        if len(labels) != n:
-            raise MalformedTable(f"{len(labels)} labels for order-{n} table")
-        for lab in labels:
-            if not lab or any(c.isspace() for c in lab):
-                raise MalformedTable(f"label {lab!r} empty or contains whitespace")
-        labels = tuple(labels)
-    monoid = FiniteMonoid(tuple(tuple(row) for row in table), identity, labels, name)
+    monoid = FiniteMonoid(tuple(tuple(row) for row in table), identity, _check_labels(labels, n), name)
     vars(monoid)["generators"] = gens
     return monoid
 
@@ -266,8 +276,8 @@ def adjoin_identity(
     original elements shift up by one.  S^1 is associative exactly when S
     is, so monoid_from_table checks S; a NotAssociative witness names S^1
     indices."""
-    _check_square(semigroup_table)
     n = len(semigroup_table)
+    _check_rows(semigroup_table, n, n)
     table = [[0] + [j + 1 for j in range(n)]]
     for i in range(n):
         table.append([i + 1] + [semigroup_table[i][j] + 1 for j in range(n)])

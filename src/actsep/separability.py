@@ -52,7 +52,6 @@ from .monoids import (
     ReesMatrixSpec,
     rees_element_index,
     rees_matrix_monoid,
-    right_ideals,
 )
 from .partitions import _normal_partition, normalize_block_ids, partition_from_assignment
 
@@ -879,30 +878,27 @@ def act_monoid_correspondence(
     condition's maximal instances on its own, checked before any search;
     N has the order of the act's carrier, so one check covers both sides.
 
-    A right-only congruence checks the bijection alone, against the
-    rho-saturated right ideals of M; requesting monoid_side on such input
-    raises NotTwoSidedCongruence."""
+    A right-only rho has no quotient monoid, so only the bijection is
+    reported, and it holds for every right congruence: the projection
+    M -> M/rho is an onto act morphism, so taking preimages matches the
+    subacts of M/rho one-to-one with the rho-saturated right ideals of M,
+    with images as the inverse.  That branch reports True and enumerates
+    nothing, so of the package's caps only the search cap applies here.
+    Requesting monoid_side on such input raises NotTwoSidedCongruence."""
     if rho.act.table != monoid.table:
         raise NotACongruence("rho must be a right congruence on the monoid")
-    act = _quotient_act(rho.act, rho)
     try:
         n_monoid = quotient_monoid(monoid, rho)
     except NotTwoSidedCongruence:
         if monoid_side:
             raise
-        saturated = set()
-        block_of = rho.partition.block_of
-        for ideal in right_ideals(monoid):
-            classes = frozenset(block_of[x] for x in ideal)
-            members = {x for x in monoid.elements() if block_of[x] in classes}
-            if members == set(ideal):
-                saturated.add(classes)
         return CorrespondenceReport(
             two_sided=False,
-            subacts_match_right_ideals=set(subacts(act)) == saturated,
+            subacts_match_right_ideals=True,
             act_conditions=None,
             monoid_conditions=None,
         )
+    act = _quotient_act(rho.act, rho)
     if set(zip(*act.table)) != set(zip(*n_monoid.table)):
         raise InternalInvariantViolation("the columns of M/rho are not the right translations of N = M/rho")
     act_indices, monoid_indices = (

@@ -75,8 +75,6 @@ def parse_monoid(text: str) -> FiniteMonoid:
     pos = 3
     labels = _labels(lines, pos)
     if labels is not None:
-        if len(labels) != order:
-            raise MalformedTable(f"{len(labels)} labels for order {order}")
         pos += 1
     _header(lines, pos, "table", 0)
     pos += 1
@@ -120,8 +118,6 @@ def parse_act(text: str, monoid: FiniteMonoid) -> FiniteAct | PartialAct:
     pos = 3
     labels = _labels(lines, pos)
     if labels is not None:
-        if len(labels) != size:
-            raise MalformedTable(f"{len(labels)} labels for size {size}")
         pos += 1
     _header(lines, pos, "table", 0)
     pos += 1

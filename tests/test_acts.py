@@ -25,11 +25,13 @@ from actsep.errors import (
     ComplementNotIdeal,
     EmptyGeneratorSet,
     IdentityLawViolation,
+    MalformedTable,
     MonoidMismatch,
     NotARetraction,
     NotASubact,
 )
 from actsep.monoids import (
+    adjoin_identity,
     cyclic_group,
     monoid_from_table,
     null_adjoined,
@@ -69,6 +71,47 @@ def test_associativity_violation():
     # over Z2, a*g*g must return to a
     with pytest.raises(AssociativityViolation):
         act_from_table(cyclic_group(2), [[0, 1], [1, 1]])
+
+
+# Z2's table is also a valid semigroup table and the regular act of Z2, so
+# each constructor below accepts it, and every row and label check is one
+# edit away from it
+_Z2 = cyclic_group(2)
+_TABLE_CONSTRUCTORS = {
+    "monoid_from_table": lambda table, labels: monoid_from_table(table, 0, labels),
+    "adjoin_identity": adjoin_identity,
+    "act_from_table": lambda table, labels: act_from_table(_Z2, table, labels),
+    "partial_act_from_table": lambda table, labels: partial_act_from_table(_Z2, table, labels),
+}
+_MALFORMED = {
+    "empty table": ([], ["a", "b"]),
+    "short row": ([[0, 1], [1]], ["a", "b"]),
+    "entry out of range": ([[0, 1], [1, 2]], ["a", "b"]),
+    "non-int entry": ([[0, 1], [1, "0"]], ["a", "b"]),
+    "wrong label count": ([[0, 1], [1, 0]], ["a"]),
+    "label with whitespace": ([[0, 1], [1, 0]], ["a", "b c"]),
+}
+
+
+@pytest.mark.parametrize("constructor", sorted(_TABLE_CONSTRUCTORS))
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_table_constructors_share_row_and_label_checks(constructor, case):
+    build = _TABLE_CONSTRUCTORS[constructor]
+    build([[0, 1], [1, 0]], ["a", "b"])
+    table, labels = _MALFORMED[case]
+    with pytest.raises(MalformedTable):
+        build(table, labels)
+
+
+@pytest.mark.parametrize("constructor", sorted(_TABLE_CONSTRUCTORS))
+def test_only_partial_acts_accept_undefined_entries(constructor):
+    build = _TABLE_CONSTRUCTORS[constructor]
+    table = [[0, 1], [1, None]]
+    if constructor == "partial_act_from_table":
+        assert build(table, None).table == ((0, 1), (1, None))
+    else:
+        with pytest.raises(MalformedTable):
+            build(table, None)
 
 
 def test_regular_act_subacts_are_right_ideals():

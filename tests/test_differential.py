@@ -313,6 +313,28 @@ def test_two_sided_subacts_are_the_right_ideals():
     assert checked == 242
 
 
+def test_right_only_subacts_are_the_saturated_right_ideals():
+    # act_monoid_correspondence reports subacts_match_right_ideals = True on
+    # every right-only quotient without listing either side: the projection
+    # M -> M/rho matches the subacts of M/rho with the rho-saturated right
+    # ideals of M, by preimage
+    checked = 0
+    for entry in catalog_monoids():
+        monoid = entry.monoid
+        for rho in all_congruences(regular_act(monoid)):
+            if two_sided_violation(rho) is None:
+                continue
+            block_of = rho.partition.block_of
+            saturated = set()
+            for ideal in right_ideals(monoid):
+                classes = frozenset(block_of[x] for x in ideal)
+                if sum(block_of[x] in classes for x in monoid.elements()) == len(ideal):
+                    saturated.add(classes)
+            assert set(subacts(quotient(rho.act, rho)[0])) == saturated
+            checked += 1
+    assert checked == 49
+
+
 def test_act_side_indices_fall_below_the_two_sided_ones():
     # over every two-sided quotient of the regular act of the 49 catalog
     # monoids and three larger ones, the act-side condition index is

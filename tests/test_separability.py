@@ -409,6 +409,21 @@ def test_correspondence_right_only_bijection():
         act_monoid_correspondence(rb, rho, monoid_side=True)
 
 
+def test_correspondence_right_only_enumerates_nothing():
+    # M = C17 x RB2x2^1 (C17 the order-17 chain under max) has order 85 and
+    # about 2^51 right-ideal unions, so any listing of M's right ideals
+    # aborts; rho = equality on the chain times the right-only classes of
+    # test_correspondence_right_only_bijection on the band
+    from actsep.partitions import partition_from_assignment
+
+    rb = rectangular_band_adjoined(2, 2)
+    table = [[max(x // 5, y // 5) * 5 + rb.table[x % 5][y % 5] for y in range(85)] for x in range(85)]
+    monoid = monoid_from_table(table, 0)
+    classes = partition_from_assignment([(x // 5, (0, 1, 1, 2, 3)[x % 5]) for x in range(85)])
+    report = act_monoid_correspondence(monoid, verify_congruence(regular_act(monoid), classes))
+    assert not report.two_sided and report.subacts_match_right_ideals
+
+
 def test_correspondence_cap_bounds_each_condition():
     # the cap bounds the candidate sets of each condition's maximal
     # instances on its own: the largest condition's count passes, one less
