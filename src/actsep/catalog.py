@@ -43,22 +43,50 @@ class CatalogEntry:
     monoid: FiniteMonoid
 
 
-def _associativity_ok_partial(t: list[list[int]], n: int) -> bool:
+def _slot_consistent(t: list[list[int]], n: int, i: int, j: int) -> bool:
+    """Whether every associativity triple (a*b)*c = a*(b*c) whose four
+    entries are defined, and which reads the slot (i, j) just set, holds.
+
+    The triples that read it are (i*j)*c, (a*i)*j, the (a*b)*c with a*b = i
+    and c = j, and the i*(b*c) with b*c = j.  Every other defined triple
+    held before the slot was set and is unchanged, so this is the whole
+    check, in O(n^2) per slot."""
+    ij = t[i][j]
+    row_i = t[i]
+    row_j = t[j]
+    row_ij = t[ij]
+    for c in range(n):
+        jc = row_j[c]
+        left = row_ij[c]
+        if jc >= 0 and left >= 0:
+            right = row_i[jc]
+            if right >= 0 and left != right:
+                return False
     for a in range(n):
+        row_a = t[a]
+        right = row_a[ij]
+        ai = row_a[i]
+        if ai >= 0 and right >= 0:
+            left = t[ai][j]
+            if left >= 0 and left != right:
+                return False
         for b in range(n):
-            ab = t[a][b]
-            if ab < 0:
-                continue
-            row_ab = t[ab]
-            row_b = t[b]
-            row_a = t[a]
-            for c in range(n):
-                bc = row_b[c]
-                left = row_ab[c]
-                if bc < 0 or left < 0:
-                    continue
-                right = row_a[bc]
-                if right >= 0 and left != right:
+            if row_a[b] == i:
+                bj = t[b][j]
+                if bj >= 0:
+                    right = row_a[bj]
+                    if right >= 0 and right != ij:
+                        return False
+    for b in range(n):
+        ib = row_i[b]
+        if ib < 0:
+            continue
+        row_b = t[b]
+        row_ib = t[ib]
+        for c in range(n):
+            if row_b[c] == j:
+                left = row_ib[c]
+                if left >= 0 and left != ij:
                     return False
     return True
 
@@ -78,7 +106,7 @@ def _enumerate_monoid_tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         i, j = slots[pos]
         for v in range(n):
             t[i][j] = v
-            if _associativity_ok_partial(t, n):
+            if _slot_consistent(t, n, i, j):
                 yield from rec(pos + 1)
         t[i][j] = -1
 

@@ -1,11 +1,20 @@
 """Act congruences as verified partitions.
 
 The enumeration walks restricted-growth strings depth-first with early
-compatibility pruning: placing element i into a block immediately checks
-every image pair that is already decidable and defers the rest to the step
-where the larger image gets assigned, so a prefix violation kills the whole
-subtree.  The yield order is the lexicographic order of restricted-growth
-strings (universal partition first, equality last).
+compatibility pruning: placing element i into a block compares its images
+with those of the block's first element, checks every image pair that is
+already decidable and defers the rest to the step where the larger image
+gets assigned, so a prefix violation kills the whole subtree.  Every pair
+is decided by the leaf, and each element's images then lie in the classes
+of its block's first element's images, so by transitivity every pair in a
+block has related images.  Only the columns of the monoid's generators are
+compared: a partition compatible with columns m and k is compatible with
+column mk (a ~ b gives am ~ bm, then amk ~ bmk), the identity column is
+trivially compatible, and every element is a product of generators, so on
+a total act generator columns give every column (the argument of
+acts._validated).  Neither rule changes the yield set.  The yield order is
+the lexicographic order of restricted-growth strings (universal partition
+first, equality last).
 """
 
 from __future__ import annotations
@@ -17,7 +26,6 @@ from .acts import (
     ActHomomorphism,
     FiniteAct,
     _split_images,
-    act_from_table,
     act_homomorphism,
     closure_partial,
     require_subact,
@@ -30,7 +38,7 @@ from .errors import (
     NotTwoSidedCongruence,
     SearchSpaceTooLarge,
 )
-from .monoids import FiniteMonoid, monoid_from_table
+from .monoids import FiniteMonoid
 from .partitions import (
     Partition,
     _normal_partition,
@@ -50,7 +58,11 @@ class Congruence:
     constructions that are compatible by design (closures, kernels, Rees
     congruences, meets, and the syntactic congruences of the separation
     search) or through the enumeration; the last two are checked against
-    generate-then-filter oracles and each other in the tests.
+    generate-then-filter oracles and each other in the tests.  Quotients by
+    a congruence are likewise acts and monoids by design: quotient and
+    quotient_monoid wrap their tables without re-validating them, and the
+    tests pass every two-sided quotient of the catalog through the checked
+    constructors.
     """
 
     act: FiniteAct
@@ -133,17 +145,28 @@ def quotient(act: FiniteAct, congruence: Congruence) -> tuple[FiniteAct, ActHomo
     return quot, act_homomorphism(act, quot, congruence.partition.block_of)
 
 
+def _representatives(block_of: tuple[int, ...]) -> list[int]:
+    """The least member of each block, in block order: in first-occurrence
+    normal form, x is one exactly when its block id is the next new one."""
+    reps: list[int] = []
+    for x, b in enumerate(block_of):
+        if b == len(reps):
+            reps.append(x)
+    return reps
+
+
 def _quotient_act(act: FiniteAct, congruence: Congruence) -> FiniteAct:
-    """The act of quotient(act, congruence), without the projection."""
+    """The act of quotient(act, congruence), without the projection.  It is
+    an act by construction ([a]*1 = [a], and [a]*(mk) = [(a*m)*k] =
+    ([a]*m)*k since the congruence is compatible), so the table is wrapped
+    without act_from_table."""
     if congruence.act != act:
         raise ActMismatch("congruence lives on a different act")
     block_of = congruence.partition.block_of
-    reps = [block[0] for block in congruence.blocks()]
-    table = [
-        [block_of[act.table[r][m]] for m in act.monoid.elements()] for r in reps
-    ]
+    reps = _representatives(block_of)
+    table = tuple(tuple([block_of[x] for x in act.table[r]]) for r in reps)
     labels = tuple(f"[{act.label(r)}]" for r in reps)
-    return act_from_table(act.monoid, table, labels, name=f"{act.name}/rho")
+    return FiniteAct(act.monoid, table, labels, name=f"{act.name}/rho")
 
 
 def kernel(hom: ActHomomorphism) -> Congruence:
@@ -198,19 +221,18 @@ def enumerate_congruences(
         raise SearchSpaceTooLarge(estimate, cap)
 
     table = act.table
-    n = act.monoid.order
+    columns = act.monoid.generators
     assign = [0] * size
+    firsts: list[int] = []  # the first element of each block, in block order
     pending: list[list[tuple[int, int]]] = [[] for _ in range(size)]
 
     def place(i: int, b: int) -> tuple[bool, list[int]]:
         log: list[int] = []
         assign[i] = b
-        row_i = table[i]
-        for j in range(i):
-            if assign[j] != b:
-                continue
-            row_j = table[j]
-            for m in range(n):
+        if b < len(firsts):
+            row_i = table[i]
+            row_j = table[firsts[b]]
+            for m in columns:
                 u = row_j[m]
                 v = row_i[m]
                 if u == v:
@@ -227,10 +249,6 @@ def enumerate_congruences(
                 return False, log
         return True, log
 
-    def undo(log: list[int]) -> None:
-        for s in reversed(log):
-            pending[s].pop()
-
     def rec(i: int, used: int) -> Iterator[Congruence]:
         if i == size:
             # a restricted-growth string is already in first-occurrence form
@@ -239,9 +257,14 @@ def enumerate_congruences(
         top = used if used == bound else used + 1
         for b in range(top):
             ok, log = place(i, b)
-            if ok:
-                yield from rec(i + 1, used if b < used else used + 1)
-            undo(log)
+            if ok and b < used:
+                yield from rec(i + 1, used)
+            elif ok:
+                firsts.append(i)
+                yield from rec(i + 1, used + 1)
+                firsts.pop()
+            for s in log:  # this call's entries are the last of each list
+                pending[s].pop()
 
     try:
         yield from rec(0, 0)
@@ -266,17 +289,24 @@ def two_sided_violation(congruence: Congruence) -> tuple[int, int, int] | None:
 
 
 def quotient_monoid(monoid: FiniteMonoid, congruence: Congruence, name: str | None = None) -> FiniteMonoid:
-    """M/rho for a two-sided congruence given on the regular act of M."""
+    """M/rho for a two-sided congruence given on the regular act of M.
+
+    The two checks are that rho lives on M's regular act and that it is
+    left-compatible (two_sided_violation).  M/rho is then a monoid by
+    construction ([a][b] = [ab] is well defined, associative and has [1]
+    as identity), so its table is wrapped without monoid_from_table, and
+    its generating set is computed when first read."""
     if congruence.act.table != monoid.table:
         raise NotACongruence("congruence does not live on the regular act of this monoid")
     witness = two_sided_violation(congruence)
     if witness is not None:
         raise NotTwoSidedCongruence(*witness)
     block_of = congruence.partition.block_of
-    reps = [block[0] for block in congruence.blocks()]
-    table = [[block_of[monoid.table[a][b]] for b in reps] for a in reps]
-    labels = [f"[{monoid.label(r)}]" for r in reps]
-    return monoid_from_table(table, block_of[monoid.identity], labels, name=name or f"{monoid.name}/rho")
+    reps = _representatives(block_of)
+    rows = [monoid.table[a] for a in reps]
+    table = tuple(tuple([block_of[row[b]] for b in reps]) for row in rows)
+    labels = tuple(f"[{monoid.label(r)}]" for r in reps)
+    return FiniteMonoid(table, block_of[monoid.identity], labels, name or f"{monoid.name}/rho")
 
 
 def cyclic_act_from_right_congruence(monoid: FiniteMonoid, congruence: Congruence) -> FiniteAct:

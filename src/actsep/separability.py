@@ -25,7 +25,6 @@ from .acts import (
 from .congruences import (
     Congruence,
     DEFAULT_SEARCH_CAP,
-    _quotient_act,
     equality_congruence,
     quotient,
     quotient_monoid,
@@ -850,15 +849,17 @@ def act_monoid_correspondence(
     each act-side separability condition matches its monoid-side analogue.
 
     For a two-sided rho, column m of the act M/rho is the right translation
-    of N by [m], so the act's distinct columns are N's: every call builds
-    M/rho and N and checks this, else InternalInvariantViolation.  The
-    subacts, being the subsets closed under the act's columns, are then the
-    right ideals of N, so subacts_match_right_ideals is True and no subact
-    is enumerated.  Everything else (orbits, maximal instances, syntactic
-    congruences) depends on N alone, so the indices come from
-    _two_sided_memo, which solves on N's regular act and keeps the last 128
-    results keyed by N's table, identity and cap.  Each report gets fresh
-    mappings.
+    of N by [m]: [a]*m = [am] = [a][m], and [a][m] does not depend on the
+    representative m because rho is left-compatible (m rho m' implies
+    am rho am'), which quotient_monoid checks with two_sided_violation on
+    every call.  So the act's distinct columns are N's by construction, and
+    only N is built.  The subacts, being the subsets closed under the act's
+    columns, are then the right ideals of N, so subacts_match_right_ideals
+    is True and no subact is enumerated.  Everything else (orbits, maximal
+    instances, syntactic congruences) depends on N alone, so the indices
+    come from _two_sided_memo, which solves on N's regular act and keeps
+    the last 128 results keyed by N's table, identity and cap.  Each report
+    gets fresh mappings.
 
     Each condition is decided, and its condition index found, from its
     maximal instances alone (see _maximal_instances), deduplicated across
@@ -898,9 +899,6 @@ def act_monoid_correspondence(
             act_conditions=None,
             monoid_conditions=None,
         )
-    act = _quotient_act(rho.act, rho)
-    if set(zip(*act.table)) != set(zip(*n_monoid.table)):
-        raise InternalInvariantViolation("the columns of M/rho are not the right translations of N = M/rho")
     act_indices, monoid_indices = (
         dict(zip(CONDITIONS, indices)) for indices in _two_sided_memo(n_monoid.table, n_monoid.identity, cap)
     )

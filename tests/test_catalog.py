@@ -2,6 +2,7 @@ import gc
 
 import pytest
 
+from actsep import catalog
 from actsep.acts import act_from_table, regular_act
 from actsep.catalog import (
     catalog_monoids,
@@ -23,6 +24,27 @@ from oracles import naive_acts
 def test_monoid_counts_by_order():
     # the numbers of monoids of order 1..4 up to isomorphism
     assert [len(monoid_tables_up_to_iso(n)) for n in range(1, 5)] == [1, 2, 7, 35]
+
+
+def _all_triples_consistent(t, n, i, j):
+    """The full check: every triple whose four entries are defined."""
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                ab, bc = t[a][b], t[b][c]
+                if ab < 0 or bc < 0:
+                    continue
+                left, right = t[ab][c], t[a][bc]
+                if left >= 0 and right >= 0 and left != right:
+                    return False
+    return True
+
+
+def test_slot_check_prunes_as_the_full_check(monkeypatch):
+    incremental = [list(catalog._enumerate_monoid_tables(n)) for n in range(1, 5)]
+    monkeypatch.setattr(catalog, "_slot_consistent", _all_triples_consistent)
+    assert incremental == [list(catalog._enumerate_monoid_tables(n)) for n in range(1, 5)]
+    assert [len(tables) for tables in incremental] == [1, 2, 11, 156]
 
 
 def test_catalog_tables_are_valid_and_deduplicated():

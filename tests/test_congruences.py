@@ -19,7 +19,7 @@ from actsep.congruences import (
     verify_congruence,
 )
 from actsep.errors import ActMismatch, NotCompatible, SearchSpaceTooLarge
-from actsep.monoids import are_isomorphic, cyclic_group, null_adjoined
+from actsep.monoids import are_isomorphic, cyclic_group, null_adjoined, transformation_closure
 from actsep.partitions import partition_from_blocks
 from actsep.families import _bz_quotient_monoid
 from oracles import naive_congruences
@@ -165,6 +165,39 @@ def test_enumerate_order_is_rgs_lexicographic():
     strings = [c.partition.block_of for c in all_congruences(two_zeros)]
     assert strings == sorted(strings)
     assert strings[0] == (0, 0)  # universal first
+
+
+def _natural_act(degree, gens):
+    """transformation_closure(degree, gens) acting on its points."""
+    maps = [tuple(range(degree))]
+    index = {maps[0]: 0}
+    for x in maps:  # the closure's element order: breadth first, x then g
+        for g in gens:
+            y = tuple(g[v] for v in x)
+            if y not in index:
+                index[y] = len(maps)
+                maps.append(y)
+    monoid = transformation_closure(degree, gens)
+    return act_from_table(monoid, [[f[p] for f in maps] for p in range(degree)])
+
+
+def test_enumerate_on_few_generator_columns():
+    # the enumerator compares generator columns only; these monoids have
+    # one or two generators against 6 to 393 elements
+    acts = [
+        regular_act(cyclic_group(6)),
+        regular_act(_bz_quotient_monoid(4)),
+        _natural_act(4, [(1, 2, 3, 0), (0, 0, 2, 3)]),
+        _natural_act(5, [(1, 2, 0, 4, 3), (0, 0, 1, 2, 3)]),
+        _natural_act(6, [(1, 0, 3, 2, 5, 4), (1, 2, 3, 4, 5, 5)]),
+        _natural_act(6, [(1, 2, 0, 4, 5, 3), (3, 3, 3, 0, 0, 0)]),
+    ]
+    for act in acts:
+        assert len(act.monoid.generators) <= 2 < act.monoid.order
+        ours = [c.partition for c in all_congruences(act)]
+        strings = [p.block_of for p in ours]
+        assert strings == sorted(set(strings))  # restricted-growth order, no duplicates
+        assert set(ours) == set(naive_congruences(act))
 
 
 def test_enumerate_bounded_equals_unbounded_at_carrier_size(small_corpus):

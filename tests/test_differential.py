@@ -3,7 +3,8 @@ generate-then-filter oracles on carriers beyond the small corpus, the
 syntactic-congruence separation search against the congruence enumeration
 (right congruences of acts, and two-sided congruences of monoids), the
 generator-column validators against all-column oracles on every
-single-entry corruption of small tables, and closure_partial against the
+single-entry corruption of small tables, the trusted quotient
+constructions against those validators, and closure_partial against the
 rescanning closure oracle."""
 
 import random
@@ -22,6 +23,7 @@ from actsep.acts import (
 from actsep.catalog import catalog_monoids, enumerate_acts
 from actsep.congruences import (
     all_congruences,
+    cyclic_act_from_right_congruence,
     enumerate_congruences,
     quotient,
     quotient_monoid,
@@ -310,6 +312,26 @@ def test_two_sided_subacts_are_the_right_ideals():
                 n_ideals = {frozenset(i) for i in right_ideals(quotient_monoid(entry.monoid, rho))}
                 assert set(subacts(act)) == n_ideals
                 checked += 1
+    assert checked == 242
+
+
+def test_trusted_quotients_pass_the_checked_constructors():
+    # quotient_monoid and the quotient act skip monoid_from_table and
+    # act_from_table, and act_monoid_correspondence does not compare the
+    # columns of M/rho with N's; here every two-sided quotient of a catalog
+    # monoid goes through both validators, and the columns are compared
+    checked = 0
+    for entry in catalog_monoids():
+        monoid = entry.monoid
+        for rho in all_congruences(regular_act(monoid)):
+            if two_sided_violation(rho) is not None:
+                continue
+            n_monoid = quotient_monoid(monoid, rho)
+            assert monoid_from_table(n_monoid.table, n_monoid.identity, n_monoid.labels, n_monoid.name) == n_monoid
+            act = cyclic_act_from_right_congruence(monoid, rho)
+            assert act_from_table(monoid, act.table, act.labels, act.name) == act
+            assert set(zip(*act.table)) == set(zip(*n_monoid.table))
+            checked += 1
     assert checked == 242
 
 

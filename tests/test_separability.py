@@ -579,30 +579,6 @@ def test_monoid_side_rejects_an_act_side_minimum_above_it(monkeypatch):
         separability._paired_min_indices(right, two_sided, single)
 
 
-def test_correspondence_rejects_a_forged_quotient_act(monkeypatch):
-    # the memo is keyed by N's table, which stands for the act M/rho only
-    # while the act's distinct columns are N's right translations
-    from dataclasses import replace
-
-    from actsep import separability
-    from actsep.congruences import equality_congruence
-
-    rho = equality_congruence(regular_act(NULL1))
-    act_monoid_correspondence(NULL1, rho)
-    real = separability._quotient_act
-
-    def forged(act, congruence):
-        # swap the images of 0 and 1 under s: column (1, 2, 2) becomes (2, 1, 2)
-        quot = real(act, congruence)
-        rows = [list(row) for row in quot.table]
-        rows[0][1], rows[1][1] = rows[1][1], rows[0][1]
-        return replace(quot, table=tuple(map(tuple, rows)))
-
-    monkeypatch.setattr(separability, "_quotient_act", forged)
-    with pytest.raises(InternalInvariantViolation, match="right translations"):
-        act_monoid_correspondence(NULL1, rho)
-
-
 def test_is_clifford_predicate():
     assert is_clifford(cyclic_group(4))
     assert is_clifford(monoid_from_table([[0, 1], [1, 1]], 0))
