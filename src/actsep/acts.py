@@ -25,7 +25,13 @@ from .errors import (
     SearchSpaceTooLarge,
 )
 from .monoids import FiniteMonoid, _check_labels, _check_rows, _distinct_unions
-from .partitions import Partition, _normal_partition, partition_from_assignment
+from .partitions import (
+    Partition,
+    _normal_partition,
+    _representatives,
+    normalize_block_ids,
+    partition_from_assignment,
+)
 
 DEFAULT_SUBACT_CAP = 1 << 16
 
@@ -326,19 +332,11 @@ def coset_act(group: FiniteMonoid, subgroup: Iterable[int], name: str = "G/H") -
     for a in sub:
         if group.inverse(a) not in pos or any(group.table[a][b] not in pos for b in sub):
             raise InvalidSpec("subset is not a subgroup")
-    coset_of: dict[int, int] = {}
-    reps: list[int] = []
-    for g in group.elements():
-        if g in coset_of:
-            continue
-        cid = len(reps)
-        reps.append(g)
-        for h in sub:
-            coset_of[group.table[h][g]] = cid
-    table = [
-        [coset_of[group.table[reps[c]][g]] for g in group.elements()]
-        for c in range(len(reps))
-    ]
+    coset_of = normalize_block_ids(
+        frozenset(group.table[h][g] for h in sub) for g in group.elements()
+    )
+    reps = _representatives(coset_of)
+    table = [[coset_of[x] for x in group.table[r]] for r in reps]
     labels = [f"H*{group.label(r)}" for r in reps]
     return act_from_table(group, table, labels, name=name)
 

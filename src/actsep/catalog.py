@@ -110,7 +110,10 @@ def _enumerate_monoid_tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
                 yield from rec(pos + 1)
         t[i][j] = -1
 
-    yield from rec(0)
+    try:
+        yield from rec(0)
+    finally:
+        del rec  # rec refers to itself through its closure cell
 
 
 def _canonical_form(table: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:

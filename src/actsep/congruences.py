@@ -42,6 +42,7 @@ from .monoids import FiniteMonoid
 from .partitions import (
     Partition,
     _normal_partition,
+    _representatives,
     equality_partition,
     partition_from_assignment,
     universal_partition,
@@ -143,16 +144,6 @@ def quotient(act: FiniteAct, congruence: Congruence) -> tuple[FiniteAct, ActHomo
     """The quotient act [a]m = [am] together with the projection."""
     quot = _quotient_act(act, congruence)
     return quot, act_homomorphism(act, quot, congruence.partition.block_of)
-
-
-def _representatives(block_of: tuple[int, ...]) -> list[int]:
-    """The least member of each block, in block order: in first-occurrence
-    normal form, x is one exactly when its block id is the next new one."""
-    reps: list[int] = []
-    for x, b in enumerate(block_of):
-        if b == len(reps):
-            reps.append(x)
-    return reps
 
 
 def _quotient_act(act: FiniteAct, congruence: Congruence) -> FiniteAct:

@@ -4,7 +4,9 @@ bundled with its expected facts for the acceptance suite.
 Windowing policy: partial-act entries are defined only when the result stays
 inside the window (no wrap-around, no zero absorption), so every merge a
 forcing chain derives in the window is valid in the infinite act.  Genuine
-zeros of the infinite act stay defined.
+zeros of the infinite act stay defined.  The act of `n_times_g` and the
+a-part of `bz_window` are windows of their monoid's regular act: its first
+rows, with the products that leave the window undefined.
 """
 
 from __future__ import annotations
@@ -140,15 +142,10 @@ def _build_bz_window(w: int) -> FamilyInstance:
     def b_idx(k: int) -> int:
         return w + 1 + (k + w)
 
-    table: list[list[int | None]] = []
-    for i in range(w + 1):
-        row: list[int | None] = []
-        for j in range(n_cols):
-            if j == sink:
-                row.append(None)
-            else:
-                row.append(a_idx(i + j) if i + j <= w else None)
-        table.append(row)
+    # the a-part is the window of the regular act below the sink
+    table: list[list[int | None]] = [
+        [x if x != sink else None for x in row] for row in monoid.table[: w + 1]
+    ]
     for k in range(-w, w + 1):
         row = []
         for j in range(n_cols):
@@ -330,30 +327,14 @@ def _build_n_times_g(n: int, g: int) -> FamilyInstance:
         m_labels.extend(f"({tag},{group.label(u)})" for u in range(g))
     monoid = adjoin_identity(table, m_labels, name=f"NxG{n}_{g}")
 
+    # the act is the window of the regular act below the overflow level
     carrier = 1 + n * g
 
     def c_idx(p: int, u: int) -> int:
         return 1 + (p - 1) * g + u
 
-    act_table: list[list[int | None]] = []
-    row0: list[int | None] = [0]
-    for p in range(n + 1):
-        for u in range(g):
-            row0.append(c_idx(p + 1, u) if p != overflow else None)
-    act_table.append(row0)
-    for p in range(1, n + 1):
-        for u in range(g):
-            row: list[int | None] = [c_idx(p, u)]
-            for q in range(n + 1):
-                for v in range(g):
-                    if q == overflow or p + q + 1 > n:
-                        row.append(None)
-                    else:
-                        row.append(c_idx(p + q + 1, (u + v) % g))
-            act_table.append(row)
-    a_labels = ["1"] + [
-        f"({p},{group.label(u)})" for p in range(1, n + 1) for u in range(g)
-    ]
+    act_table = [[x if x < carrier else None for x in row] for row in monoid.table[:carrier]]
+    a_labels = monoid.labels[:carrier]
     act = partial_act_from_table(monoid, act_table, a_labels, name=f"NxGwin{n}_{g}")
     marked = {lab: i for i, lab in enumerate(a_labels)}
 

@@ -26,7 +26,7 @@ from .errors import (
     NotNormalSubgroup,
     RightIdealEnumerationTooLarge,
 )
-from .partitions import partition_from_assignment
+from .partitions import normalize_block_ids, partition_from_assignment
 
 DEFAULT_CLOSURE_CAP = 10_000
 DEFAULT_IDEAL_CAP = 1 << 20
@@ -419,68 +419,37 @@ def _verify_normal_subgroup(group: FiniteMonoid, subset: frozenset[int]) -> None
                 raise NotNormalSubgroup(f"not normal: {g}*{a}*{g}^-1 escapes")
 
 
-def _blocks_from_pairwise(n: int, related) -> tuple[tuple[int, ...], ...]:
-    block_of = [-1] * n
-    blocks: list[list[int]] = []
-    for x in range(n):
-        if block_of[x] != -1:
-            continue
-        bid = len(blocks)
-        block = [x]
-        block_of[x] = bid
-        for y in range(x + 1, n):
-            if block_of[y] == -1 and related(x, y):
-                block_of[y] = bid
-                block.append(y)
-        blocks.append(block)
-    return tuple(tuple(b) for b in blocks)
-
-
 def sandwich_rank(
     spec: ReesMatrixSpec, normal_subgroup: Iterable[int] | None = None
 ) -> RankReport:
     """Index of ~_I and ~_J for P (or P/N when a normal subgroup is given);
-    rank = max of the two indices."""
+    rank = max of the two indices.
+
+    i ~_I k iff p_ji = p_jk g for one g and every j.  That g is forced to
+    p_0k^-1 p_0i, so i ~_I k iff p_ji p_0i^-1 = p_jk p_0k^-1 for every j:
+    the tuple (p_ji p_0i^-1)_j is a key of column i, and classes are key
+    classes, found in O(rows * cols) products.  Dually (p_j0^-1 p_ji)_i is
+    a key of row j.  Modulo N each key entry is read as its coset gN,
+    which is the same key computed in G/N since N is normal."""
     validate_rees_spec(spec)
     G = spec.group
-    p = spec.sandwich
+    t, p = G.table, spec.sandwich
+    coset_of: Sequence[int] = G.elements()
     if normal_subgroup is not None:
         subset = frozenset(normal_subgroup)
         _verify_normal_subgroup(G, subset)
-        cosets: list[frozenset[int]] = []
-        coset_of = [-1] * G.order
-        for g in G.elements():
-            if coset_of[g] != -1:
-                continue
-            coset = frozenset(G.table[g][a] for a in subset)
-            cid = len(cosets)
-            cosets.append(coset)
-            for h in coset:
-                coset_of[h] = cid
-        reps = [min(c) for c in cosets]
-        qtable = tuple(
-            tuple(coset_of[G.table[a][b]] for b in reps) for a in reps
-        )
-        quotient = monoid_from_table(qtable, coset_of[G.identity], name="G/N")
-        qspec = ReesMatrixSpec(
-            quotient,
-            spec.rows,
-            spec.cols,
-            tuple(tuple(coset_of[v] for v in row) for row in p),
-        )
-        return sandwich_rank(qspec)
-
-    def related_i(i: int, k: int) -> bool:
-        # g is forced: p_{ji} = p_{jk} g  =>  g = p_{jk}^-1 p_{ji}
-        g = G.table[G.inverse(p[0][k])][p[0][i]]
-        return all(p[j][i] == G.table[p[j][k]][g] for j in range(spec.cols))
-
-    def related_j(j: int, l: int) -> bool:
-        g = G.table[p[j][0]][G.inverse(p[l][0])]
-        return all(p[j][i] == G.table[g][p[l][i]] for i in range(spec.rows))
-
-    classes_i = _blocks_from_pairwise(spec.rows, related_i)
-    classes_j = _blocks_from_pairwise(spec.cols, related_j)
+        coset_of = normalize_block_ids(frozenset(t[g][a] for a in subset) for g in G.elements())
+    inv = [G.inverse(g) for g in G.elements()]
+    keys_i = (
+        tuple(coset_of[t[p[j][i]][inv[p[0][i]]]] for j in range(spec.cols))
+        for i in range(spec.rows)
+    )
+    keys_j = (
+        tuple(coset_of[t[inv[p[j][0]]][p[j][i]]] for i in range(spec.rows))
+        for j in range(spec.cols)
+    )
+    classes_i = partition_from_assignment(keys_i).blocks()
+    classes_j = partition_from_assignment(keys_j).blocks()
     r_i, r_j = len(classes_i), len(classes_j)
     return RankReport(r_i, r_j, max(r_i, r_j), classes_i, classes_j)
 
@@ -722,10 +691,6 @@ def find_isomorphism(m1: FiniteMonoid, m2: FiniteMonoid) -> tuple[int, ...] | No
             used[phi[x]] = False
             phi[x] = -1
 
-    trail: list[int] = []
-    if not assign(m1.identity, m2.identity, trail):
-        return None
-
     def search() -> bool:
         x = next((z for z in order if phi[z] == -1), None)
         if x is None:
@@ -739,9 +704,13 @@ def find_isomorphism(m1: FiniteMonoid, m2: FiniteMonoid) -> tuple[int, ...] | No
             undo(trail, mark)
         return False
 
-    if search():
-        return tuple(phi)
-    return None
+    trail: list[int] = []
+    try:
+        if assign(m1.identity, m2.identity, trail) and search():
+            return tuple(phi)
+        return None
+    finally:
+        del assign, search  # each refers to itself through its closure cell
 
 
 def are_isomorphic(m1: FiniteMonoid, m2: FiniteMonoid) -> bool:

@@ -23,6 +23,16 @@ def normalize_block_ids(assignment: Iterable[Hashable]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _representatives(block_of: tuple[int, ...]) -> list[int]:
+    """The least member of each block, in block order: in first-occurrence
+    normal form, x is one exactly when its block id is the next new one."""
+    reps: list[int] = []
+    for x, b in enumerate(block_of):
+        if b == len(reps):
+            reps.append(x)
+    return reps
+
+
 @dataclass(frozen=True)
 class Partition:
     block_of: tuple[int, ...]

@@ -221,38 +221,58 @@ def count_squarefree_words(n: int) -> int:
     return total
 
 
+def naive_rank_classes(group: FiniteMonoid, rows: int, cols: int, sandwich, normal_subgroup=None):
+    """Pairwise ~_I and ~_J classes of P, or of P/N when a normal subgroup N
+    is given, quantifying over every candidate group element g and comparing
+    entries as cosets xN.  Classes are listed by least member."""
+    t = group.table
+    subgroup = [group.identity] if normal_subgroup is None else list(normal_subgroup)
+
+    def coset(x):
+        return frozenset(t[x][a] for a in subgroup)
+
+    def related_i(i, k):
+        return any(
+            all(coset(sandwich[j][i]) == coset(t[sandwich[j][k]][g]) for j in range(cols))
+            for g in range(group.order)
+        )
+
+    def related_j(j, l):
+        return any(
+            all(coset(sandwich[j][i]) == coset(t[g][sandwich[l][i]]) for i in range(rows))
+            for g in range(group.order)
+        )
+
+    def classes(n, related):
+        out = []
+        for x in range(n):
+            home = next((c for c in out if related(c[0], x)), None)
+            if home is None:
+                out.append([x])
+            else:
+                home.append(x)
+        return tuple(tuple(c) for c in out)
+
+    return classes(rows, related_i), classes(cols, related_j)
+
+
 def naive_rank(group: FiniteMonoid, rows: int, cols: int, sandwich) -> tuple[int, int]:
     """Pairwise rank oracle quantifying over every candidate group element."""
+    classes_i, classes_j = naive_rank_classes(group, rows, cols, sandwich)
+    return len(classes_i), len(classes_j)
 
-    def inv(g):
-        return group.inverse(g)
 
-    related_i = {}
-    for i in range(rows):
-        for k in range(rows):
-            related_i[(i, k)] = any(
-                all(
-                    sandwich[j][i] == group.table[sandwich[j][k]][g]
-                    for j in range(cols)
-                )
-                for g in range(group.order)
-            )
-    related_j = {}
-    for j in range(cols):
-        for l in range(cols):
-            related_j[(j, l)] = any(
-                all(
-                    sandwich[j][i] == group.table[g][sandwich[l][i]]
-                    for i in range(rows)
-                )
-                for g in range(group.order)
-            )
-
-    def count_classes(n, related):
-        seen = []
-        for x in range(n):
-            if not any(related[(x, rep)] for rep in seen):
-                seen.append(x)
-        return len(seen)
-
-    return count_classes(rows, related_i), count_classes(cols, related_j)
+def naive_right_coset_act(group: FiniteMonoid, subgroup):
+    """The right cosets Hg as sets, listed by least member, with table entry
+    (C, m) the index of the set {c*m : c in C} and labels H*<least member>."""
+    cosets = []
+    for g in group.elements():
+        coset = frozenset(group.table[h][g] for h in subgroup)
+        if coset not in cosets:
+            cosets.append(coset)
+    table = [
+        [cosets.index(frozenset(group.table[c][m] for c in coset)) for m in group.elements()]
+        for coset in cosets
+    ]
+    labels = tuple(f"H*{group.label(min(coset))}" for coset in cosets)
+    return table, labels

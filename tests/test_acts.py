@@ -40,11 +40,12 @@ from actsep.monoids import (
     rees_matrix_monoid,
     right_ideals,
     submonoid,
+    transformation_closure,
     trivial_monoid,
     ReesMatrixSpec,
 )
 from actsep.separability import is_clifford
-from oracles import naive_partial_closure
+from oracles import naive_partial_closure, naive_right_coset_act
 
 
 NULL1 = null_adjoined(1)  # {1, s, z}
@@ -258,6 +259,19 @@ def test_coset_act_transitive():
     assert act.size == 2
     assert decompose(act) == ((0, 1),)
     assert act.labels == ("H*e", "H*g")
+
+
+def test_coset_act_uses_right_cosets_of_non_normal_subgroup():
+    s3 = transformation_closure(3, [(1, 0, 2), (1, 2, 0)])
+    h = [0, 1]  # the identity and the transposition (0 1)
+    right = {frozenset(s3.table[x][g] for x in h) for g in s3.elements()}
+    left = {frozenset(s3.table[g][x] for x in h) for g in s3.elements()}
+    assert right != left  # so the oracle tells Hg from gH
+    act = coset_act(s3, h)
+    table, labels = naive_right_coset_act(s3, h)
+    assert act.table == tuple(tuple(row) for row in table)
+    assert act.labels == labels
+    assert act.size == 3
 
 
 def test_faithfulness():

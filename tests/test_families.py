@@ -1,3 +1,6 @@
+import hashlib
+from itertools import product
+
 import pytest
 
 from actsep.acts import PartialAct, closure_partial, regular_act
@@ -13,6 +16,7 @@ from actsep.families import (
     verify,
 )
 from actsep.monoids import monoid_from_table
+from actsep.textio import write_act, write_monoid
 from oracles import count_squarefree_words
 
 
@@ -182,3 +186,36 @@ def test_free_monogenic_forcing_monotone():
         inst = build("free_monogenic_act", {"w": w})
         part = closure_partial(inst.act, [(inst.mark("a1"), inst.mark("a3"))])
         assert part.same(inst.mark("0"), inst.mark("a0"))
+
+
+# sha256 of write_monoid + write_act over every parameter in a family's
+# range (parameter names sorted, values ascending), so a change to any
+# built table, label or name fails here and names the family
+_FAMILY_DUMP_SHA256 = {
+    "bz_window": "772b4c348913f1cb92d01c4ad134a844440576cacaba8a0385ed7a7adf9dc041",
+    "bz_quotient": "2cdce6e9f4657f53335ec44d83eec879e3f3e4bfba9b622ed29413ac6fc2970d",
+    "kozhukhov": "71c994a0b7ccad0ba500d9b60ac7b94ccb6e4112561b6b72a64a20021a508849",
+    "leftzero": "5db9fa91e68d8f9856a033303f510fdb8a6277aaa1ed65e0fe30ac21a7915852",
+    "squarefree": "159f8e3715650c2a6e888080e8de8c4c8edca56aa2c74a9027f7b32b373a0f0f",
+    "n_times_g": "983788fb561879f47bbbc5760c29454b24f402f143b60819e0edd01e3f29965e",
+    "free_monogenic_act": "852f8cca51eb1250cb3c8751de655da55f2e597e247a1ef9e5da1a98c1dd3bef",
+    "clifford_tower": "9886339eebe2a19071f7abcfcd2f66c21bdb1c2adee690653a24cc375bf52254",
+    "semilattice_act": "a441727790512d5ce0feb654f1a95b5e8c035f9a8b38aa5024af85340310621b",
+    "star_semilattice": "2580cc995dbc7e67deb8e4fdbb8b2833a229f551a1037da2cc4dc7c570fd0bef",
+}
+
+
+def test_family_dump_digests_cover_every_family():
+    assert set(_FAMILY_DUMP_SHA256) == set(FAMILIES)
+
+
+@pytest.mark.parametrize("name", sorted(_FAMILY_DUMP_SHA256))
+def test_every_family_dump_is_pinned(name):
+    _, ranges = FAMILIES[name]
+    keys = sorted(ranges)
+    digest = hashlib.sha256()
+    for values in product(*(range(ranges[k][0], ranges[k][1] + 1) for k in keys)):
+        instance = build(name, dict(zip(keys, values)))
+        digest.update(write_monoid(instance.monoid).encode())
+        digest.update(write_act(instance.act).encode())
+    assert digest.hexdigest() == _FAMILY_DUMP_SHA256[name]

@@ -1,3 +1,7 @@
+import gc
+import random
+from itertools import combinations
+
 import pytest
 
 from actsep.errors import (
@@ -11,6 +15,7 @@ from actsep.errors import (
     NotNormalSubgroup,
     RightIdealEnumerationTooLarge,
 )
+from actsep.catalog import _enumerate_monoid_tables
 from actsep.monoids import (
     FiniteMonoid,
     ReesMatrixSpec,
@@ -35,7 +40,7 @@ from actsep.monoids import (
     transformation_closure,
     trivial_monoid,
 )
-from oracles import naive_rank, naive_submonoid, naive_transformation_closure
+from oracles import naive_rank, naive_rank_classes, naive_submonoid, naive_transformation_closure
 
 
 def test_trivial_monoid():
@@ -344,6 +349,92 @@ def test_rank_invariant_under_permutations():
         tuple(sorted(col_perm.index(x) for x in block)) for block in base.classes_i
     )
     assert sorted(other.classes_i) == mapped_i
+
+
+def _normal_subgroups(group):
+    """Every normal subgroup, by brute force over subsets containing the
+    identity (a finite subset closed under the product is a subgroup)."""
+    t, e = group.table, group.identity
+    others = [g for g in group.elements() if g != e]
+    out = []
+    for k in range(len(others) + 1):
+        for extra in combinations(others, k):
+            sub = {e, *extra}
+            closed = all(t[a][b] in sub for a in sub for b in sub)
+            normal = all(
+                t[t[group.inverse(g)][a]][g] in sub for g in group.elements() for a in sub
+            )
+            if closed and normal:
+                out.append(sorted(sub))
+    return out
+
+
+def _random_sandwich(rng, group, rows, cols):
+    # mostly p_ji = a_j b_i, so that rows and columns share classes
+    a = [rng.randrange(group.order) for _ in range(cols)]
+    b = [rng.randrange(group.order) for _ in range(rows)]
+    noise = rng.choice((0.0, 0.25, 1.0))
+    return tuple(
+        tuple(
+            rng.randrange(group.order) if rng.random() < noise else group.table[a[j]][b[i]]
+            for i in range(rows)
+        )
+        for j in range(cols)
+    )
+
+
+@pytest.mark.parametrize("name", ["S3", "Z4", "Z6"])
+def test_rank_classes_match_oracle_modulo_every_normal_subgroup(name):
+    group = {
+        "S3": transformation_closure(3, [(1, 0, 2), (1, 2, 0)]),
+        "Z4": cyclic_group(4),
+        "Z6": cyclic_group(6),
+    }[name]
+    subgroups = _normal_subgroups(group)
+    assert len(subgroups) == {"S3": 3, "Z4": 3, "Z6": 4}[name]
+    rng = random.Random(f"rank-{name}")
+    proper = 0
+    for normal_subgroup in [None, *subgroups]:
+        for _ in range(25):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+            spec = ReesMatrixSpec(group, rows, cols, _random_sandwich(rng, group, rows, cols))
+            report = sandwich_rank(spec, normal_subgroup)
+            classes_i, classes_j = naive_rank_classes(
+                group, rows, cols, spec.sandwich, normal_subgroup
+            )
+            assert (report.classes_i, report.classes_j) == (classes_i, classes_j)
+            assert (report.r_i, report.r_j) == (len(classes_i), len(classes_j))
+            assert report.rank == max(report.r_i, report.r_j)
+            proper += 1 < report.r_i < rows or 1 < report.r_j < cols
+    # the seeds reach classes that are neither all singletons nor one block
+    assert proper
+
+
+def test_recursive_searches_leave_no_cyclic_garbage():
+    def garbage_after(run):
+        gc.collect()
+        before = len(gc.garbage)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            run()
+            gc.collect()
+        finally:
+            gc.set_debug(0)  # left on, later collections would save more
+        saved = gc.garbage[before:]
+        del gc.garbage[before:]
+        return len(saved)
+
+    def enumerate_tables():
+        for n in range(1, 5):
+            for _ in _enumerate_monoid_tables(n):
+                pass
+
+    def isomorphisms():
+        assert find_isomorphism(cyclic_group(4), cyclic_group(4)) is not None
+        assert find_isomorphism(left_zero_adjoined(3), left_zero_adjoined(3)) is not None
+
+    assert garbage_after(enumerate_tables) == 0
+    assert garbage_after(isomorphisms) == 0
 
 
 # ---------------------------------------------------------------------------
