@@ -515,24 +515,33 @@ def closure_partial(partial: PartialAct | FiniteAct, seeds: Iterable[tuple[int, 
     return _normal_partition(tuple(block_of))
 
 
-def _split_images(table: Sequence[Sequence[int | None]], partition: Partition) -> tuple[int, int, int] | None:
+def _split_images(
+    table: Sequence[Sequence[int | None]],
+    partition: Partition,
+    columns: Sequence[int] | None = None,
+) -> tuple[int, int, int] | None:
     """The compatibility check behind compatibility_violation,
-    is_closed_partition and two_sided_violation: None if, in every column m,
-    the defined images x*m of each block lie in one block; else a witness
-    (a, b, m) with a ~ b, both images defined and split.
+    is_closed_partition and two_sided_violation: None if, in every column m
+    (every one of `columns` when given), the defined images x*m of each
+    block lie in one block; else a witness (a, b, m) with a ~ b, both images
+    defined and split.
 
     Each block keeps one defined image per column and the member it came
     from, as closure_partial does, so a is the first member with an image in
     column m and b the first member whose image lies in another block.
     Linear in the size of the table."""
     block_of = partition.block_of
+    if columns is None:
+        columns = range(len(table[0]))
     for block in partition.blocks():
         if len(block) < 2:
             continue
         kept = list(table[block[0]])
         owner = [block[0]] * len(kept)
         for x in block[1:]:
-            for m, v in enumerate(table[x]):
+            row = table[x]
+            for m in columns:
+                v = row[m]
                 if v is not None:
                     u = kept[m]
                     if u is None:

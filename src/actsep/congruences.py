@@ -1,12 +1,19 @@
 """Act congruences as verified partitions.
 
-The enumeration walks restricted-growth strings depth-first with early
-compatibility pruning: placing element i into a block compares its images
-with those of the block's first element, checks every image pair that is
-already decidable and defers the rest to the step where the larger image
-gets assigned, so a prefix violation kills the whole subtree.  Every pair
-is decided by the leaf, and each element's images then lie in the classes
-of its block's first element's images, so by transitivity every pair in a
+The enumeration walks restricted-growth strings depth-first with forward
+checking (Haralick and Elliott, 1980).  Placing element i into a block
+compares its images with those of the block's first element: a pair (u, v)
+of images with both ends placed is checked at once, and a pair with s =
+max(u, v) still unplaced forces s into the block of t = min(u, v) -- now
+if t is placed, else when t is placed.  Two forcings of s into different
+blocks fail the placement at once, and a forced element tries only its
+forced block.  This is the check the pair would get when s is placed, made
+earlier: every choice it prunes fails there, so neither the yield set nor
+the yield order depends on it, and a subtree that cannot place a late,
+over-constrained element (the zero of a semilattice, say) is cut where the
+conflict arises, not when that element's turn comes.  Every pair is
+decided by the leaf, and each element's images then lie in the classes of
+its block's first element's images, so by transitivity every pair in a
 block has related images.  Only the columns of the monoid's generators are
 compared: a partition compatible with columns m and k is compatible with
 column mk (a ~ b gives am ~ bm, then amk ~ bmk), the identity column is
@@ -202,7 +209,14 @@ def enumerate_congruences(
     cap: int = DEFAULT_SEARCH_CAP,
 ) -> Iterator[Congruence]:
     """Yield every congruence on the act (index <= max_index when given),
-    each exactly once, in restricted-growth-string order."""
+    each exactly once, in restricted-growth-string order.
+
+    A deferred pair (t, s) with t < s is kept as a forcing: in forced[s]
+    once t is placed, else in waiting[t] until it is.  Each placement
+    appends to those lists and to nothing else, and logs every list it
+    appended to, so backtracking pops each logged list once.  The cap is
+    checked against search_space_estimate before the first yield; forcing
+    often visits far fewer placements than that estimate."""
     size = act.size
     bound = size if max_index is None else min(max_index, size)
     if bound < 1:
@@ -215,11 +229,18 @@ def enumerate_congruences(
     columns = act.monoid.generators
     assign = [0] * size
     firsts: list[int] = []  # the first element of each block, in block order
-    pending: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+    waiting: list[list[int]] = [[] for _ in range(size)]  # s joins t's block
+    forced: list[list[int]] = [[] for _ in range(size)]  # blocks forced on s
 
-    def place(i: int, b: int) -> tuple[bool, list[int]]:
-        log: list[int] = []
+    def place(i: int, b: int, log: list[list[int]]) -> bool:
+        # every append goes to a list also appended to log, for the undo
         assign[i] = b
+        for s in waiting[i]:
+            f = forced[s]
+            if f and f[0] != b:
+                return False
+            f.append(b)
+            log.append(f)
         if b < len(firsts):
             row_i = table[i]
             row_j = table[firsts[b]]
@@ -228,34 +249,43 @@ def enumerate_congruences(
                 v = row_i[m]
                 if u == v:
                     continue
-                s = u if u > v else v
-                if s <= i:
-                    if assign[u] != assign[v]:
-                        return False, log
+                if u < v:
+                    t, s = u, v
                 else:
-                    pending[s].append((u, v))
-                    log.append(s)
-        for u, v in pending[i]:
-            if assign[u] != assign[v]:
-                return False, log
-        return True, log
+                    t, s = v, u
+                if s <= i:
+                    if assign[t] != assign[s]:
+                        return False
+                elif t <= i:
+                    f = forced[s]
+                    c = assign[t]
+                    if f and f[0] != c:
+                        return False
+                    f.append(c)
+                    log.append(f)
+                else:
+                    w = waiting[t]
+                    w.append(s)
+                    log.append(w)
+        return True
 
     def rec(i: int, used: int) -> Iterator[Congruence]:
         if i == size:
             # a restricted-growth string is already in first-occurrence form
             yield Congruence(act, _normal_partition(tuple(assign)))
             return
-        top = used if used == bound else used + 1
-        for b in range(top):
-            ok, log = place(i, b)
-            if ok and b < used:
-                yield from rec(i + 1, used)
-            elif ok:
-                firsts.append(i)
-                yield from rec(i + 1, used + 1)
-                firsts.pop()
-            for s in log:  # this call's entries are the last of each list
-                pending[s].pop()
+        f = forced[i]
+        for b in f[:1] if f else range(used if used == bound else used + 1):
+            log: list[list[int]] = []
+            if place(i, b, log):
+                if b < used:
+                    yield from rec(i + 1, used)
+                else:
+                    firsts.append(i)
+                    yield from rec(i + 1, used + 1)
+                    firsts.pop()
+            for entries in log:  # this call's entries are the last of each list
+                entries.pop()
 
     try:
         yield from rec(0, 0)
@@ -275,8 +305,14 @@ def all_congruences(
 
 def two_sided_violation(congruence: Congruence) -> tuple[int, int, int] | None:
     """For a congruence on a regular act: None if it is also left-compatible,
-    else a witness (a, b, m) with a ~ b but ma !~ mb."""
-    return _split_images(congruence.act.monoid.left_table, congruence.partition)
+    else a witness (a, b, m) with a ~ b but ma !~ mb.
+
+    Only the generators' columns of the left table are compared: the m with
+    a ~ b => ma ~ mb for all a, b contain the identity and are closed under
+    products ((mk)a = m(ka) ~ m(kb) = (mk)b), so they are all of M once
+    they contain a generating set."""
+    monoid = congruence.act.monoid
+    return _split_images(monoid.left_table, congruence.partition, monoid.generators)
 
 
 def quotient_monoid(monoid: FiniteMonoid, congruence: Congruence, name: str | None = None) -> FiniteMonoid:

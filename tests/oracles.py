@@ -52,6 +52,21 @@ def naive_congruences(act: FiniteAct) -> list[Partition]:
     return out
 
 
+def naive_two_sided_violation(monoid: FiniteMonoid, partition: Partition):
+    """The first (a, b, m) over all pairs and every column m with a ~ b but
+    m*a !~ m*b, or None when the partition is left-compatible."""
+    block_of = partition.block_of
+    t = monoid.table
+    for a in range(monoid.order):
+        for b in range(monoid.order):
+            if block_of[a] != block_of[b]:
+                continue
+            for m in range(monoid.order):
+                if block_of[t[m][a]] != block_of[t[m][b]]:
+                    return (a, b, m)
+    return None
+
+
 def separates(congruence, element: int, forbidden) -> bool:
     """Whether the congruence puts element in a class that misses forbidden."""
     block_of = congruence.partition.block_of

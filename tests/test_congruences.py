@@ -20,8 +20,8 @@ from actsep.congruences import (
 )
 from actsep.errors import ActMismatch, NotCompatible, SearchSpaceTooLarge
 from actsep.monoids import are_isomorphic, cyclic_group, null_adjoined, transformation_closure
-from actsep.partitions import partition_from_blocks
-from actsep.families import _bz_quotient_monoid
+from actsep.partitions import partition_from_assignment, partition_from_blocks
+from actsep.families import _bz_quotient_monoid, build
 from oracles import naive_congruences
 
 
@@ -198,6 +198,26 @@ def test_enumerate_on_few_generator_columns():
         strings = [p.block_of for p in ours]
         assert strings == sorted(set(strings))  # restricted-growth order, no duplicates
         assert set(ours) == set(naive_congruences(act))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_star_semilattice_right_congruences(n):
+    # {1, x1..xn, 0} with xi xi = xi and every other product 0: a set S of
+    # the xi joins the zero's class (2^n), or 1 ~ xi, which sends every
+    # other xj to 0 (n), or all is one class; every one is two-sided
+    instance = build("star_semilattice", {"n": n})
+    one, zero = instance.mark("1"), instance.mark("0")
+    xs = [instance.mark(f"x{i}") for i in range(1, n + 1)]
+    expected = {partition_from_assignment([0] * (n + 2))}
+    for bits in range(1 << n):
+        joined = {zero} | {x for k, x in enumerate(xs) if bits >> k & 1}
+        expected.add(partition_from_assignment(-1 if e in joined else e for e in range(n + 2)))
+    for x in xs:
+        expected.add(partition_from_assignment(e in (one, x) for e in range(n + 2)))
+    ours = all_congruences(regular_act(instance.monoid))
+    assert len(ours) == len(expected) == 2**n + n + 1
+    assert {c.partition for c in ours} == expected
+    assert all(two_sided_violation(c) is None for c in ours)
 
 
 def test_enumerate_bounded_equals_unbounded_at_carrier_size(small_corpus):

@@ -58,6 +58,7 @@ from oracles import (
     naive_is_associative,
     naive_min_separating_index,
     naive_partial_closure,
+    naive_two_sided_violation,
     separates,
 )
 
@@ -88,6 +89,80 @@ def test_congruence_enumeration_on_order4_regular_acts():
         act = regular_act(entry.monoid)
         ours = {c.partition for c in all_congruences(act)}
         assert ours == set(naive_congruences(act))
+
+
+def _random_transformation_monoid(rng):
+    """A seeded transformation monoid whose order is drawn from 3 to 8, with
+    its maps in element order (composed left to right, as right actions)."""
+    order = rng.randrange(3, 9)
+    while True:
+        degree = rng.randrange(3, 5)
+        gens = [tuple(rng.randrange(degree) for _ in range(degree)) for _ in range(rng.randrange(1, 3))]
+        maps = [tuple(range(degree))]
+        for f in maps:
+            for g in gens:
+                h = tuple(g[v] for v in f)
+                if h not in maps:
+                    maps.append(h)
+        if len(maps) == order:
+            index = {f: i for i, f in enumerate(maps)}
+            table = [[index[tuple(g[v] for v in f)] for g in maps] for f in maps]
+            return monoid_from_table(table, 0), maps
+
+
+def _orbit_act(monoid, maps, seeds):
+    """The monoid acting pointwise on the orbit of the seed tuples."""
+    carrier = list(dict.fromkeys(seeds))
+    for x in carrier:
+        for f in maps:
+            y = tuple(f[p] for p in x)
+            if y not in carrier:
+                carrier.append(y)
+    index = {x: i for i, x in enumerate(carrier)}
+    return act_from_table(monoid, [[index[tuple(f[p] for p in x)] for f in maps] for x in carrier])
+
+
+def test_congruence_enumeration_yields_the_oracle_list_in_rgs_order():
+    # the yield sequence, not just the set, against the filter oracle sorted
+    # as restricted-growth strings, on regular, point and pair acts
+    rng = random.Random(5)
+    checked = 0
+    for _ in range(40):
+        monoid, maps = _random_transformation_monoid(rng)
+        degree = len(maps[0])
+        pairs = [tuple(rng.randrange(degree) for _ in range(2)) for _ in range(rng.randrange(1, 3))]
+        acts = [regular_act(monoid), _orbit_act(monoid, maps, [(p,) for p in range(degree)])]
+        pair_act = _orbit_act(monoid, maps, pairs)
+        if pair_act.size <= 8:
+            acts.append(pair_act)
+        for act in acts:
+            naive = sorted(p.block_of for p in naive_congruences(act))
+            for bound in (None, 2, 3):
+                ours = [c.partition.block_of for c in enumerate_congruences(act, bound)]
+                assert ours == [s for s in naive if bound is None or max(s) < bound]
+                checked += 1
+    assert checked >= 320
+
+
+def test_two_sided_check_on_generator_columns_matches_all_columns():
+    # two_sided_violation reads only the generators' columns of the left
+    # table; the oracle reads every column.  The monoids are the catalog and
+    # the three larger ones of the lattice benchmark workload.
+    monoids = [e.monoid for e in catalog_monoids()] + [
+        build(name, params).monoid
+        for name, params in (("leftzero", {"n": 7}), ("star_semilattice", {"n": 7}), ("semilattice_act", {"n": 8}))
+    ]
+    right_only = 0
+    for monoid in monoids:
+        t = monoid.table
+        for rho in all_congruences(regular_act(monoid)):
+            witness = two_sided_violation(rho)
+            assert (witness is None) == (naive_two_sided_violation(monoid, rho.partition) is None)
+            if witness is not None:
+                a, b, m = witness
+                assert rho.same(a, b) and not rho.same(t[m][a], t[m][b])
+                right_only += 1
+    assert right_only == 49  # of 1,433 right congruences
 
 
 def test_act_enumeration_order3_carrier4_against_naive():
