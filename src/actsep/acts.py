@@ -185,11 +185,22 @@ def is_faithful(act: FiniteAct) -> bool:
 # subacts
 
 
+def _require_in_carrier(act: FiniteAct, elements: set[int], what: str) -> None:
+    """Raise InvalidSpec naming the least or the greatest of the non-empty
+    elements when it lies outside the carrier."""
+    for x in (min(elements), max(elements)):
+        if not 0 <= x < act.size:
+            raise InvalidSpec(f"{what} {x} out of carrier range")
+
+
 def subact_violation(act: FiniteAct, subset: Iterable[int]) -> tuple[int, int, int] | None:
-    """None if subset is a subact, else a witness (b, m, image outside)."""
+    """None if subset is a subact, else a witness (b, m, image outside).
+    An empty subset, or one with a member outside the carrier, raises
+    InvalidSpec."""
     sub = set(subset)
     if not sub:
-        return (-1, -1, -1)
+        raise InvalidSpec("a subact must be non-empty")
+    _require_in_carrier(act, sub, "subset element")
     for b in sorted(sub):
         for m in act.monoid.elements():
             img = act.table[b][m]
@@ -212,6 +223,7 @@ def subact_generated(act: FiniteAct, generators: Iterable[int]) -> frozenset[int
     gens = set(generators)
     if not gens:
         raise EmptyGeneratorSet("generating set must be non-empty")
+    _require_in_carrier(act, gens, "generator")
     out: set[int] = set()
     for u in gens:
         out.update(act.table[u])

@@ -59,8 +59,15 @@ def _load_monoid(path: str):
 
 
 def _load_act(act_path: str, monoid_path: str):
-    monoid = textio.parse_monoid(_read(monoid_path))
-    return textio.parse_act(_read(act_path), monoid)
+    return textio.parse_act(_read(act_path), _load_monoid(monoid_path))
+
+
+def _load_total_act(args):
+    """The act of --act over --monoid-file, which must be a total act."""
+    act = _load_act(args.act, args.monoid_file)
+    if isinstance(act, PartialAct):
+        raise ActsepError(f"{args.cmd} needs a total act")
+    return act
 
 
 def _parse_indices(raw: str) -> list[int]:
@@ -81,24 +88,20 @@ def _group_token(group, token: str) -> int:
 
 
 def _cmd_validate(args) -> int:
-    if args.act is not None:
-        if args.monoid_file is None:
-            print("error: --act requires --monoid-file", file=sys.stderr)
-            return 2
-        try:
-            _load_act(args.act, args.monoid_file)
-        except (ActsepError, ValueError, OSError) as exc:
-            print(f"invalid: {exc}", file=sys.stderr)
-            return 1
-    elif args.monoid is not None:
-        try:
-            _load_monoid(args.monoid)
-        except (ActsepError, ValueError, OSError) as exc:
-            print(f"invalid: {exc}", file=sys.stderr)
-            return 1
-    else:
+    if args.act is not None and args.monoid_file is None:
+        print("error: --act requires --monoid-file", file=sys.stderr)
+        return 2
+    if args.act is None and args.monoid is None:
         print("error: validate needs --monoid or --act", file=sys.stderr)
         return 2
+    try:
+        if args.act is not None:
+            _load_act(args.act, args.monoid_file)
+        else:
+            _load_monoid(args.monoid)
+    except (ActsepError, ValueError, OSError) as exc:
+        print(f"invalid: {exc}", file=sys.stderr)
+        return 1
     print("ok")
     return 0
 
@@ -157,9 +160,7 @@ def _file_stem(name: str) -> str:
 
 
 def _cmd_check(args) -> int:
-    act = _load_act(args.act, args.monoid_file)
-    if isinstance(act, PartialAct):
-        raise ActsepError("condition checks need a total act")
+    act = _load_total_act(args)
     report = check_condition(act, args.condition, cap=_cap())
     if args.json:
         print(_report_json(report))
@@ -176,9 +177,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_separate(args) -> int:
-    act = _load_act(args.act, args.monoid_file)
-    if isinstance(act, PartialAct):
-        raise ActsepError("separation needs a total act")
+    act = _load_total_act(args)
     forbidden = _parse_indices(getattr(args, "from"))
     cert = separate(act, args.element, forbidden, max_index=args.max_index, cap=_cap())
     if cert is None:
@@ -193,9 +192,7 @@ def _cmd_separate(args) -> int:
 
 
 def _cmd_min_index(args) -> int:
-    act = _load_act(args.act, args.monoid_file)
-    if isinstance(act, PartialAct):
-        raise ActsepError("separation needs a total act")
+    act = _load_total_act(args)
     forbidden = _parse_indices(getattr(args, "from"))
     cert = separate(act, args.element, forbidden, cap=_cap())
     assert cert is not None
@@ -292,6 +289,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "and decide separability conditions with certificates.",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
+    act_files = argparse.ArgumentParser(add_help=False)
+    act_files.add_argument("--act", required=True)
+    act_files.add_argument("--monoid-file", required=True)
+    target = argparse.ArgumentParser(add_help=False)
+    target.add_argument("--element", type=int, required=True)
+    target.add_argument("--from", required=True)
+    family_params = argparse.ArgumentParser(add_help=False)
+    family_params.add_argument("--name", required=True)
+    family_params.add_argument("--param", action="append")
 
     p = sub.add_parser("validate", help="run full axiom checks on a monoid or act file")
     p.add_argument("--monoid")
@@ -299,28 +305,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--monoid-file")
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("check", help="decide one of the four separability conditions")
-    p.add_argument("--act", required=True)
-    p.add_argument("--monoid-file", required=True)
+    p = sub.add_parser(
+        "check", parents=[act_files], help="decide one of the four separability conditions"
+    )
     p.add_argument("--condition", required=True, choices=["rf", "wss", "sss", "cs"])
     p.add_argument("--json", action="store_true")
     p.add_argument("--certificates")
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("separate", help="search for a minimal separating congruence")
-    p.add_argument("--act", required=True)
-    p.add_argument("--monoid-file", required=True)
-    p.add_argument("--element", type=int, required=True)
-    p.add_argument("--from", required=True)
+    p = sub.add_parser(
+        "separate", parents=[act_files, target], help="search for a minimal separating congruence"
+    )
     p.add_argument("--max-index", type=int)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_separate)
 
-    p = sub.add_parser("min-index", help="print the minimal separating index")
-    p.add_argument("--act", required=True)
-    p.add_argument("--monoid-file", required=True)
-    p.add_argument("--element", type=int, required=True)
-    p.add_argument("--from", required=True)
+    p = sub.add_parser(
+        "min-index", parents=[act_files, target], help="print the minimal separating index"
+    )
     p.set_defaults(func=_cmd_min_index)
 
     p = sub.add_parser("rees", help="build or normalize a Rees matrix monoid")
@@ -336,19 +338,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("family", help="build, verify, and dump example families")
     fam = p.add_subparsers(dest="family_cmd", required=True)
-    run = fam.add_parser("run")
-    run.add_argument("--name", required=True)
-    run.add_argument("--param", action="append")
+    run = fam.add_parser("run", parents=[family_params])
     run.add_argument("--golden")
-    listp = fam.add_parser("list")
-    dump = fam.add_parser("dump")
-    dump.add_argument("--name", required=True)
-    dump.add_argument("--param", action="append")
+    fam.add_parser("list")
+    dump = fam.add_parser("dump", parents=[family_params])
     dump.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_family)
-    run.set_defaults(func=_cmd_family)
-    listp.set_defaults(func=_cmd_family)
-    dump.set_defaults(func=_cmd_family)
 
     return parser
 

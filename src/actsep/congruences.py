@@ -176,31 +176,16 @@ def kernel(hom: ActHomomorphism) -> Congruence:
 # enumeration
 
 
-def _bell_numbers(n: int) -> list[int]:
-    row = [1]
-    bells = [1]
-    for _ in range(n):
-        new = [row[-1]]
-        for v in row:
-            new.append(new[-1] + v)
-        row = new
-        bells.append(row[0])
-    return bells
-
-
 def search_space_estimate(size: int, max_blocks: int) -> int:
-    """Set partitions of `size` elements into at most `max_blocks` blocks."""
-    if max_blocks >= size:
-        return _bell_numbers(size)[size]
-    # Stirling numbers of the second kind, summed over 1..max_blocks
-    prev = [0] * (max_blocks + 1)
-    prev[0] = 1
+    """Set partitions of `size` elements into at most `max_blocks` blocks:
+    the sum of the Stirling numbers S(size, k) of the second kind over
+    k = 0..max_blocks, by S(n, k) = k*S(n-1, k) + S(n-1, k-1) from
+    S(0, 0) = 1 (so the empty carrier has its one partition)."""
+    top = min(max_blocks, size)
+    row = [1] + [0] * top
     for _ in range(size):
-        cur = [0] * (max_blocks + 1)
-        for k in range(1, max_blocks + 1):
-            cur[k] = k * prev[k] + prev[k - 1]
-        prev = cur
-    return sum(prev[1:])
+        row = [0] + [k * row[k] + row[k - 1] for k in range(1, top + 1)]
+    return sum(row)
 
 
 def enumerate_congruences(

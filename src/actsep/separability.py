@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, count
 from operator import gt, xor
-from typing import Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .acts import (
     DEFAULT_SUBACT_CAP,
@@ -25,12 +25,12 @@ from .acts import (
 from .congruences import (
     Congruence,
     DEFAULT_SEARCH_CAP,
-    equality_congruence,
     quotient,
     quotient_monoid,
     verify_congruence,
 )
 from .errors import (
+    ActMismatch,
     EmptyForbiddenSet,
     InternalInvariantViolation,
     InvalidSpec,
@@ -116,6 +116,8 @@ class SeparationCertificate:
 def make_certificate(
     act: FiniteAct, element: int, forbidden: Iterable[int], congruence: Congruence
 ) -> SeparationCertificate:
+    if congruence.act != act:
+        raise ActMismatch("congruence lives on a different act")
     forb = frozenset(forbidden)
     _check_separation_input(act, element, forb)
     return _certificate(act, element, forb, congruence)
@@ -131,6 +133,14 @@ def _certificate(
         if block_of[x] == block_of[element]:
             raise InvalidSpec(f"congruence does not separate {element} from {x}")
     return SeparationCertificate(act, element, forbidden, congruence)
+
+
+def _keyed_certificate(
+    act: FiniteAct, a: int, forbidden: Iterable[int], keys: Iterable[Hashable]
+) -> SeparationCertificate:
+    """make_certificate for the congruence whose classes are the fibers of
+    the keys, one key per carrier element, verified compatible."""
+    return make_certificate(act, a, forbidden, verify_congruence(act, partition_from_assignment(keys)))
 
 
 def _check_separation_input(act: FiniteAct, a: int, forbidden: frozenset[int]) -> None:
@@ -495,15 +505,11 @@ def rclass_witness(act: FiniteAct, zero: int, a: int) -> SeparationCertificate:
     if a == zero or not 0 <= a < act.size:
         raise InvalidSpec("element to separate must differ from the zero")
     rclasses = act.monoid.r_classes
-    keys: list[tuple] = []
-    for x in act.carrier():
-        if x == zero:
-            keys.append(("zero",))
-        else:
-            row = act.table[x]
-            keys.append(tuple(all(row[r] == zero for r in rc) for rc in rclasses))
-    cong = verify_congruence(act, partition_from_assignment(keys))
-    return make_certificate(act, a, {zero}, cong)
+    keys = (
+        ("zero",) if x == zero else tuple(all(row[r] == zero for r in rc) for rc in rclasses)
+        for x, row in enumerate(act.table)
+    )
+    return _keyed_certificate(act, a, {zero}, keys)
 
 
 def is_clifford(monoid: FiniteMonoid) -> bool:
@@ -534,9 +540,7 @@ def clifford_witness(act: FiniteAct, a: int, b: int) -> SeparationCertificate:
         raise RRelated(a, b)
     if leq[a][b]:
         a, b = b, a
-    assignment = [0 if leq[a][x] else 1 for x in act.carrier()]
-    cong = verify_congruence(act, partition_from_assignment(assignment))
-    return make_certificate(act, a, {b}, cong)
+    return _keyed_certificate(act, a, {b}, (leq[a][x] for x in act.carrier()))
 
 
 def _completely_simple_violation(monoid: FiniteMonoid) -> str | None:
@@ -571,9 +575,10 @@ def rees_cyclic_sss_witness(
     element: int | None = None,
 ) -> SeparationCertificate:
     """On a cyclic act M/rho with a zero, over S^1 with S completely simple:
-    the three-block congruence {[1]}, {0}, rest.  Also asserts that the class
-    of the identity is a singleton, which the completely simple structure
-    forces whenever such a zero exists."""
+    the three-block congruence {[1]}, {0}, rest (equality when the rest is
+    empty).  Also asserts that the class of the identity is a singleton,
+    which the completely simple structure forces whenever such a zero
+    exists."""
     violation = _completely_simple_violation(monoid)
     if violation is not None:
         raise PreconditionViolated(violation)
@@ -595,25 +600,26 @@ def rees_cyclic_sss_witness(
         raise InvalidSpec("element to separate must differ from the zero")
     if len(rho.partition.block(monoid.identity)) != 1:
         raise InternalInvariantViolation("the class of the identity is not a singleton")
-    if act.size < 3:
-        return make_certificate(act, element, {zero}, equality_congruence(act))
-    assignment = [0 if x == one else 1 if x == zero else 2 for x in act.carrier()]
-    cong = verify_congruence(act, partition_from_assignment(assignment))
-    return make_certificate(act, element, {zero}, cong)
+    keys = (x if x in (one, zero) else -1 for x in act.carrier())
+    return _keyed_certificate(act, element, {zero}, keys)
 
 
-def _validate_union_blocks(
-    act: FiniteAct, blocks: Sequence[Iterable[int]]
-) -> list[frozenset[int]]:
-    out = [require_subact(act, block) for block in blocks]
+def _union_block(
+    act: FiniteAct, blocks: Sequence[Iterable[int]], a: int, forbidden: Iterable[int]
+) -> tuple[frozenset[int], frozenset[int]]:
+    """(the forbidden set, the block of a), once the separation input is
+    checked and the blocks are checked to be subacts partitioning the act."""
+    forb = frozenset(forbidden)
+    _check_separation_input(act, a, forb)
+    parts = [require_subact(act, block) for block in blocks]
     covered: set[int] = set()
-    for block in out:
+    for block in parts:
         if covered & block:
             raise InvalidSpec("union blocks overlap")
         covered |= block
     if covered != set(act.carrier()):
         raise InvalidSpec("union blocks do not cover the carrier")
-    return out
+    return forb, next(block for block in parts if a in block)
 
 
 def disjoint_union_witness(
@@ -625,24 +631,11 @@ def disjoint_union_witness(
     """When the forbidden set misses the block of a: the two-block congruence
     A_i | rest separates.  Otherwise raises XMeetsBlock; see
     disjoint_union_fallback for the general construction."""
-    forb = frozenset(forbidden)
-    _check_separation_input(act, a, forb)
-    parts = _validate_union_blocks(act, blocks)
-    mine = next(block for block in parts if a in block)
+    forb, mine = _union_block(act, blocks, a, forbidden)
     overlap = forb & mine
     if overlap:
         raise XMeetsBlock(min(overlap))
-    return _two_block_certificate(act, mine, a, forb)
-
-
-def _two_block_certificate(
-    act: FiniteAct, mine: frozenset[int], a: int, forbidden: frozenset[int]
-) -> SeparationCertificate:
-    """The congruence mine | rest, for inputs already checked by the caller
-    and a forbidden set that misses the subact mine."""
-    assignment = [0 if x in mine else 1 for x in act.carrier()]
-    cong = verify_congruence(act, partition_from_assignment(assignment))
-    return _certificate(act, a, forbidden, cong)
+    return _keyed_certificate(act, a, forb, (x in mine for x in act.carrier()))
 
 
 def disjoint_union_fallback(
@@ -654,23 +647,17 @@ def disjoint_union_fallback(
 ) -> SeparationCertificate:
     """General case: separate inside the block of a, then extend by sending
     the rest of the act to an adjoined sink class."""
-    forb = frozenset(forbidden)
-    _check_separation_input(act, a, forb)
-    parts = _validate_union_blocks(act, blocks)
-    mine = next(block for block in parts if a in block)
+    forb, mine = _union_block(act, blocks, a, forbidden)
     inside = forb & mine
     if not inside:
-        return _two_block_certificate(act, mine, a, forb)
+        return _keyed_certificate(act, a, forb, (x in mine for x in act.carrier()))
     sub_act, embedding = subact_as_act(act, mine)
     pos = {x: i for i, x in enumerate(embedding)}
     sub_cert = separate(sub_act, pos[a], {pos[x] for x in inside}, cap=cap)
     assert sub_cert is not None
     sub_blocks = sub_cert.congruence.partition.block_of
-    keys = [
-        ("in", sub_blocks[pos[x]]) if x in pos else ("out",) for x in act.carrier()
-    ]
-    cong = verify_congruence(act, partition_from_assignment(keys))
-    return _certificate(act, a, forb, cong)
+    keys = (sub_blocks[pos[x]] if x in pos else -1 for x in act.carrier())
+    return _keyed_certificate(act, a, forb, keys)
 
 
 # ---------------------------------------------------------------------------
@@ -886,8 +873,6 @@ def act_monoid_correspondence(
     with images as the inverse.  That branch reports True and enumerates
     nothing, so of the package's caps only the search cap applies here.
     Requesting monoid_side on such input raises NotTwoSidedCongruence."""
-    if rho.act.table != monoid.table:
-        raise NotACongruence("rho must be a right congruence on the monoid")
     try:
         n_monoid = quotient_monoid(monoid, rho)
     except NotTwoSidedCongruence:

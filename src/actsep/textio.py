@@ -7,6 +7,8 @@ are present and never otherwise, so write/parse round-trips byte-identically.
 
 from __future__ import annotations
 
+from typing import Callable, Iterable, Sequence
+
 from .acts import FiniteAct, PartialAct, act_from_table, partial_act_from_table
 from .congruences import Congruence, verify_congruence
 from .errors import InvalidSpec, MalformedTable
@@ -45,24 +47,35 @@ def _int(token: str, line: str) -> int:
         raise MalformedTable(f"expected an integer, found {token!r} in line {line!r}") from None
 
 
-def _labels(lines: list[str], pos: int) -> list[str] | None:
-    """The optional labels line at content line pos."""
+def _table_section(lines: list[str], pos: int, count: int) -> tuple[list[str] | None, list[str]]:
+    """The optional labels line at content line pos, then the `table` line
+    and its `count` rows: (labels or None, the rows)."""
     tokens = lines[pos].split() if pos < len(lines) else []
-    return tokens[1:] if tokens and tokens[0] == "labels" else None
+    labels = tokens[1:] if tokens and tokens[0] == "labels" else None
+    if labels is not None:
+        pos += 1
+    _header(lines, pos, "table", 0)
+    rows = lines[pos + 1 : pos + 1 + count]
+    if len(rows) != count:
+        raise MalformedTable(f"table needs {count} rows, found {len(rows)}")
+    return labels, rows
+
+
+def _write_table(
+    head: list[str], labels: Sequence[str] | None, rows: Iterable[Sequence], cell: Callable[..., str]
+) -> str:
+    """The header lines, the labels line when there are labels, then the
+    table with each entry written by cell."""
+    if labels is not None:
+        head.append("labels " + " ".join(labels))
+    head.append("table")
+    head.extend(" ".join(map(cell, row)) for row in rows)
+    return "\n".join(head) + "\n"
 
 
 def write_monoid(monoid: FiniteMonoid) -> str:
-    lines = [
-        f"monoid {monoid.name}",
-        f"order {monoid.order}",
-        f"identity {monoid.identity}",
-    ]
-    if monoid.labels is not None:
-        lines.append("labels " + " ".join(monoid.labels))
-    lines.append("table")
-    for row in monoid.table:
-        lines.append(" ".join(str(v) for v in row))
-    return "\n".join(lines) + "\n"
+    head = [f"monoid {monoid.name}", f"order {monoid.order}", f"identity {monoid.identity}"]
+    return _write_table(head, monoid.labels, monoid.table, str)
 
 
 def parse_monoid(text: str) -> FiniteMonoid:
@@ -72,32 +85,15 @@ def parse_monoid(text: str) -> FiniteMonoid:
     name = _header(lines, 0, "monoid", 1)[0]
     order = _int(_header(lines, 1, "order", 1)[0], lines[1])
     identity = _int(_header(lines, 2, "identity", 1)[0], lines[2])
-    pos = 3
-    labels = _labels(lines, pos)
-    if labels is not None:
-        pos += 1
-    _header(lines, pos, "table", 0)
-    pos += 1
-    rows = lines[pos : pos + order]
-    if len(rows) != order:
-        raise MalformedTable(f"table needs {order} rows, found {len(rows)}")
+    labels, rows = _table_section(lines, 3, order)
     table = [[_int(v, row) for v in row.split()] for row in rows]
     return monoid_from_table(table, identity, labels, name=name)
 
 
 def write_act(act: FiniteAct | PartialAct) -> str:
-    partial = isinstance(act, PartialAct)
-    lines = [
-        f"{'partialact' if partial else 'act'} {act.name}",
-        f"monoid {act.monoid.name}",
-        f"size {act.size}",
-    ]
-    if act.labels is not None:
-        lines.append("labels " + " ".join(act.labels))
-    lines.append("table")
-    for row in act.table:
-        lines.append(" ".join("-" if v is None else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+    kind = "partialact" if isinstance(act, PartialAct) else "act"
+    head = [f"{kind} {act.name}", f"monoid {act.monoid.name}", f"size {act.size}"]
+    return _write_table(head, act.labels, act.table, lambda v: "-" if v is None else str(v))
 
 
 def parse_act(text: str, monoid: FiniteMonoid) -> FiniteAct | PartialAct:
@@ -115,16 +111,7 @@ def parse_act(text: str, monoid: FiniteMonoid) -> FiniteAct | PartialAct:
             f"act declares monoid {declared!r} but was resolved against {monoid.name!r}"
         )
     size = _int(_header(lines, 2, "size", 1)[0], lines[2])
-    pos = 3
-    labels = _labels(lines, pos)
-    if labels is not None:
-        pos += 1
-    _header(lines, pos, "table", 0)
-    pos += 1
-    rows = lines[pos : pos + size]
-    if len(rows) != size:
-        raise MalformedTable(f"table needs {size} rows, found {len(rows)}")
-
+    labels, rows = _table_section(lines, 3, size)
     table = [[None if v == "-" else _int(v, row) for v in row.split()] for row in rows]
     if partial:
         return partial_act_from_table(monoid, table, labels, name=name)

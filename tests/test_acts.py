@@ -25,6 +25,7 @@ from actsep.errors import (
     ComplementNotIdeal,
     EmptyGeneratorSet,
     IdentityLawViolation,
+    InvalidSpec,
     MalformedTable,
     MonoidMismatch,
     NotARetraction,
@@ -44,6 +45,7 @@ from actsep.monoids import (
     trivial_monoid,
     ReesMatrixSpec,
 )
+from actsep.congruences import rees_congruence
 from actsep.separability import is_clifford
 from oracles import naive_partial_closure, naive_right_coset_act
 
@@ -214,6 +216,31 @@ def test_rees_quotient_rejects_non_subact():
     act = regular_act(NULL1)
     with pytest.raises(NotASubact):
         rees_quotient(act, {0})
+
+
+@pytest.mark.parametrize(
+    "call, subset, message",
+    [
+        (rees_quotient, {9}, "subset element 9 out of carrier range"),
+        (rees_quotient, {0, 9}, "subset element 9 out of carrier range"),
+        (subact_as_act, {7}, "subset element 7 out of carrier range"),
+        (subact_generated, {9}, "generator 9 out of carrier range"),
+        (subact_generated, {-1}, "generator -1 out of carrier range"),
+        (rees_congruence, {-1}, "subset element -1 out of carrier range"),
+        (rees_congruence, set(), "non-empty"),
+        (subact_violation, set(), "non-empty"),
+    ],
+)
+def test_bad_subsets_raise_invalid_spec(call, subset, message):
+    with pytest.raises(InvalidSpec, match=message):
+        call(regular_act(null_adjoined(2)), subset)
+
+
+def test_non_subact_keeps_its_witness():
+    # in Null2^1 = {1, s1, s2, z}, s1*s1 = z leaves {s1}
+    with pytest.raises(NotASubact) as exc:
+        rees_quotient(regular_act(null_adjoined(2)), {1})
+    assert exc.value.witness == (1, 1, 3)
 
 
 def test_disjoint_union_and_decompose():

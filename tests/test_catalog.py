@@ -16,6 +16,7 @@ from actsep.monoids import (
     cyclic_group,
     left_zero_adjoined,
     monoid_from_table,
+    transformation_closure,
     trivial_monoid,
 )
 from oracles import naive_acts
@@ -55,6 +56,18 @@ def test_catalog_tables_are_valid_and_deduplicated():
         for second in entries[i + 1 :]:
             if first.name.startswith("order") and second.name.startswith("order"):
                 assert not are_isomorphic(first.monoid, second.monoid)
+
+
+def test_catalog_tables_are_their_right_regular_transformation_monoids():
+    # Cayley: the closure of the columns m -> (x -> x*m) reproduces each
+    # associative table with identity 0 in the same element order
+    entries = [e for e in catalog_monoids() if e.name.startswith("order")]
+    assert len(entries) == 1 + 2 + 7 + 35
+    for entry in entries:
+        table = entry.monoid.table
+        n = len(table)
+        columns = [[table[x][m] for x in range(n)] for m in range(n)]
+        assert transformation_closure(n, columns).table == table
 
 
 def test_named_constructions_present():

@@ -22,7 +22,7 @@ from actsep.errors import ActMismatch, NotCompatible, SearchSpaceTooLarge
 from actsep.monoids import are_isomorphic, cyclic_group, null_adjoined, transformation_closure
 from actsep.partitions import partition_from_assignment, partition_from_blocks
 from actsep.families import _bz_quotient_monoid, build
-from oracles import naive_congruences
+from oracles import all_set_partitions, naive_congruences
 
 
 NULL1 = null_adjoined(1)
@@ -238,6 +238,13 @@ def test_search_space_estimate():
     assert search_space_estimate(5, 5) == 52  # Bell(5)
     assert search_space_estimate(5, 1) == 1
     assert search_space_estimate(5, 2) == 16  # S(5,1) + S(5,2)
+
+
+def test_search_space_estimate_counts_partitions_with_at_most_k_blocks():
+    for n in range(8):
+        sizes = [len(blocks) for blocks in all_set_partitions(n)]
+        for k in range(n + 2):
+            assert search_space_estimate(n, k) == sum(s <= k for s in sizes), (n, k)
 
 
 def test_quotient_monoid_by_equality():

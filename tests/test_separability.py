@@ -9,14 +9,19 @@ from actsep.acts import (
 )
 from actsep.congruences import (
     all_congruences,
+    cyclic_act_from_right_congruence,
+    equality_congruence,
     meet,
+    quotient_monoid,
     rees_congruence,
     verify_congruence,
 )
 from actsep.errors import (
+    ActMismatch,
     EmptyForbiddenSet,
     InternalInvariantViolation,
     InvalidSpec,
+    NotACongruence,
     NotAZero,
     NotClifford,
     NotComparable,
@@ -46,6 +51,7 @@ from actsep.separability import (
     disjoint_union_fallback,
     disjoint_union_witness,
     is_clifford,
+    make_certificate,
     minimal_separating_index,
     rclass_witness,
     rees_bracket_decomposition,
@@ -307,6 +313,25 @@ def test_rees_cyclic_witness_rejects_non_rees():
     reg = regular_act(NULL1)
     with pytest.raises(PreconditionViolated):
         rees_cyclic_sss_witness(NULL1, equality_congruence(reg))
+
+
+@pytest.mark.parametrize("forbidden", [{1}, {3}])
+def test_make_certificate_rejects_a_congruence_on_another_act(forbidden):
+    act = regular_act(null_adjoined(2))
+    other = equality_congruence(regular_act(NULL1))
+    with pytest.raises(ActMismatch):
+        make_certificate(act, 0, forbidden, other)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [quotient_monoid, cyclic_act_from_right_congruence, act_monoid_correspondence, rees_cyclic_sss_witness],
+)
+def test_congruence_on_another_act_is_not_a_congruence_of_the_monoid(call):
+    # RB2x2^1 passes the completely simple precondition of the Rees witness
+    monoid = rectangular_band_adjoined(2, 2)
+    with pytest.raises(NotACongruence):
+        call(monoid, equality_congruence(regular_act(NULL1)))
 
 
 def test_disjoint_union_witness_and_fallback():

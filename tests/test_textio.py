@@ -39,6 +39,7 @@ def test_monoid_roundtrip_without_labels():
     text = write_monoid(bare)
     assert "labels" not in text
     assert parse_monoid(text).table == bare.table
+    assert write_monoid(parse_monoid(text)) == text
 
 
 def test_act_roundtrip():
