@@ -32,7 +32,7 @@ from .monoids import (
     sandwich_rank,
     validate_rees_spec,
 )
-from .separability import check_condition, separate
+from .separability import check_condition, minimal_separating_index, separate
 
 _CAP_ENV = "ACTSEP_MAX_SEARCH"
 
@@ -194,9 +194,7 @@ def _cmd_separate(args) -> int:
 def _cmd_min_index(args) -> int:
     act = _load_total_act(args)
     forbidden = _parse_indices(getattr(args, "from"))
-    cert = separate(act, args.element, forbidden, cap=_cap())
-    assert cert is not None
-    print(cert.quotient_size)
+    print(minimal_separating_index(act, args.element, forbidden, cap=_cap()))
     return 0
 
 

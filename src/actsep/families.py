@@ -136,9 +136,6 @@ def _build_bz_window(w: int) -> FamilyInstance:
     size = (w + 1) + (2 * w + 1) + 1
     zero = size - 1
 
-    def a_idx(i: int) -> int:
-        return i
-
     def b_idx(k: int) -> int:
         return w + 1 + (k + w)
 
@@ -157,7 +154,7 @@ def _build_bz_window(w: int) -> FamilyInstance:
     table.append([zero] * n_cols)
     labels = [f"a^{i}" for i in range(w + 1)] + [f"b{k}" for k in range(-w, w + 1)] + ["0"]
     act = partial_act_from_table(monoid, table, labels, name=f"bzwin{w}")
-    marked = {f"a{i}": a_idx(i) for i in range(w + 1)}
+    marked = {f"a{i}": i for i in range(w + 1)}
     marked.update({f"b{k}": b_idx(k) for k in range(-w, w + 1)})
     marked["0"] = zero
     facts: list[Fact] = []

@@ -74,9 +74,14 @@ class BracketProfile:
         return len(set(self.brackets))
 
 
+def _require_elements(act: FiniteAct, *elements: int) -> None:
+    for x in elements:
+        if not 0 <= x < act.size:
+            raise InvalidSpec(f"element {x} out of carrier range")
+
+
 def bracket_profile(act: FiniteAct, a: int) -> BracketProfile:
-    if not 0 <= a < act.size:
-        raise InvalidSpec(f"element {a} out of carrier range")
+    _require_elements(act, a)
     brackets = tuple(
         frozenset(m for m in act.monoid.elements() if act.table[b][m] == a)
         for b in act.carrier()
@@ -85,16 +90,12 @@ def bracket_profile(act: FiniteAct, a: int) -> BracketProfile:
 
 
 def sigma_a(act: FiniteAct, a: int) -> Congruence:
-    """Partition the carrier by bracket-set equality.  Always a congruence
-    with {a} as the block of a; a verification failure is a bug."""
-    profile = bracket_profile(act, a)
-    try:
-        cong = verify_congruence(act, partition_from_assignment(profile.brackets))
-    except Exception as exc:  # pragma: no cover - theory guarantees compatibility
-        raise InternalInvariantViolation(f"bracket partition not a congruence: {exc}") from exc
-    if len(cong.partition.block(a)) != 1:
-        raise InternalInvariantViolation("bracket congruence block of a is not a singleton")
-    return cong
+    """The bracket congruence sigma_a: x and y are related iff [a, x] = [a, y].
+    It is the syntactic congruence sigma_C of C = {a} (see _SigmaBatch), so a
+    congruence by construction with {a} as the block of a; the key of x is
+    the bitmask of [a, x], row a of _hit_masks."""
+    _require_elements(act, a)
+    return Congruence(act, partition_from_assignment(_hit_masks(act)[a]))
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +145,7 @@ def _keyed_certificate(
 
 
 def _check_separation_input(act: FiniteAct, a: int, forbidden: frozenset[int]) -> None:
-    if not 0 <= a < act.size:
-        raise InvalidSpec(f"element {a} out of carrier range")
+    _require_elements(act, a)
     if not forbidden:
         raise EmptyForbiddenSet("the forbidden set must be non-empty")
     for x in forbidden:
@@ -323,13 +323,14 @@ class _SigmaBatch:
         ties = self._ties(a, forbidden)
         return min(map(self._block_of, ties)) if ties else None
 
-    def min_index(self, a: int, forbidden: frozenset[int]) -> int | None:
-        """The index of solve(a, X), without normalising ties on the table."""
+    def min_index(self, a: int, forbidden: frozenset[int]) -> int:
+        """The index of solve(a, X), without normalising ties on the table.
+        Called only on batches built with max_index=None, whose bound is the
+        carrier size: sigma_a separates a from everything else, so solve
+        always finds a winner there."""
         if self.table is None:
-            best = self.solve(a, forbidden)
-            return None if best is None else max(best) + 1
-        ties = self._ties(a, forbidden)
-        return self.table[ties[0]] if ties else None
+            return max(_walk_alone(self.hits, a, forbidden, self.bound)) + 1
+        return self.table[self._ties(a, forbidden)[0]]
 
 
 def separate(
@@ -436,12 +437,6 @@ def _maximal_instances(
     raise InvalidSpec(f"unknown condition {condition!r}")
 
 
-def _condition_index(minima: list[int | None]) -> int | None:
-    """The largest of the minimal indices of a condition's maximal instances,
-    1 when there are none; None when one has no separating congruence."""
-    return None if None in minima else max(minima, default=1)
-
-
 def condition_index(act: FiniteAct, condition: str, cap: int = DEFAULT_SEARCH_CAP) -> int:
     """The least index k at which one of RF/WSS/SSS/CS holds: the largest
     minimal separating index over its instances, 1 when it has none.  Only
@@ -454,9 +449,7 @@ def condition_index(act: FiniteAct, condition: str, cap: int = DEFAULT_SEARCH_CA
     instances = _maximal_instances(act, cond, cyclic_subacts(act))
     _require_within_cap(act.size, instances, None, cap)
     solver = _SigmaBatch(_hit_masks(act), instances, None)
-    index = _condition_index([solver.min_index(a, forb) for a, forb in instances])
-    assert index is not None  # unbounded search cannot fail on a finite act
-    return index
+    return max((solver.min_index(a, forb) for a, forb in instances), default=1)
 
 
 def check_condition(
@@ -502,7 +495,8 @@ def rclass_witness(act: FiniteAct, zero: int, a: int) -> SeparationCertificate:
     over the monoid's R-classes, with {zero} as its own block."""
     if zero not in act.zeros:
         raise NotAZero(zero)
-    if a == zero or not 0 <= a < act.size:
+    _require_elements(act, a)
+    if a == zero:
         raise InvalidSpec("element to separate must differ from the zero")
     rclasses = act.monoid.r_classes
     keys = (
@@ -533,6 +527,7 @@ def is_clifford(monoid: FiniteMonoid) -> bool:
 def clifford_witness(act: FiniteAct, a: int, b: int) -> SeparationCertificate:
     """Over a Clifford monoid, separate two non-R-related elements by the
     two-block congruence {x : a <= x} | {x : a is not below x}."""
+    _require_elements(act, a, b)
     if not is_clifford(act.monoid):
         raise NotClifford("the acting monoid is not a Clifford monoid")
     leq, _ = preorder_and_green(act)
@@ -696,6 +691,7 @@ def rees_bracket_decomposition(
     )
     if anchor is None:
         raise NotNormalized("no all-identity column in the sandwich matrix")
+    _require_elements(act, a, b)
     if a == b or a not in act.orbit(b):
         raise NotComparable(a, b)
     table = act.table
@@ -743,31 +739,42 @@ def rees_bracket_decomposition(
 
 @dataclass(frozen=True)
 class CorrespondenceReport:
-    """The subact/right-ideal bijection for N = M/rho and, for a two-sided
-    rho, each condition on both sides: whether it holds and its condition
-    index, the largest minimal index over its maximal instances, by right
-    congruences of the act M/rho (act_*) and by two-sided congruences of N
-    (monoid_*).  All four are None on right-only input."""
+    """For N = M/rho: indices, with derived booleans.  For a two-sided rho,
+    each condition's index in CONDITIONS order, the largest minimal index
+    over its maximal instances, by right congruences of the act M/rho
+    (act_indices) and by two-sided congruences of N (monoid_indices); both
+    are None on right-only input.
+
+    The booleans are derived, as the theory fixes them.  The subacts of
+    M/rho match the right ideals for every rho (see
+    act_monoid_correspondence), and by the paper's first theorem every
+    condition holds on both sides of a finite quotient, so each condition
+    holds wherever it has an index.  Each property returns a fresh dict."""
 
     two_sided: bool
-    subacts_match_right_ideals: bool
-    act_conditions: Mapping[str, bool] | None
-    monoid_conditions: Mapping[str, bool] | None
-    act_indices: Mapping[str, int | None] | None = None
-    monoid_indices: Mapping[str, int | None] | None = None
+    act_indices: Mapping[str, int] | None = None
+    monoid_indices: Mapping[str, int] | None = None
+
+    @property
+    def subacts_match_right_ideals(self) -> bool:
+        return True
+
+    @property
+    def act_conditions(self) -> dict[str, bool] | None:
+        return None if self.act_indices is None else dict.fromkeys(self.act_indices, True)
+
+    @property
+    def monoid_conditions(self) -> dict[str, bool] | None:
+        return None if self.monoid_indices is None else dict.fromkeys(self.monoid_indices, True)
 
     @property
     def equivalences_agree(self) -> bool:
-        if self.act_conditions is None or self.monoid_conditions is None:
-            return self.subacts_match_right_ideals
-        return self.subacts_match_right_ideals and all(
-            self.act_conditions[c] == self.monoid_conditions[c] for c in CONDITIONS
-        )
+        return self.act_conditions == self.monoid_conditions
 
 
 def _paired_min_indices(
     right: _SigmaBatch, two_sided: _SigmaBatch, instances: Sequence[tuple[int, frozenset[int]]]
-) -> tuple[list[int | None], list[int | None]]:
+) -> tuple[list[int], list[int]]:
     """The right and the two-sided minimal index of each instance, for two
     batches over the same instances and carrier, so with a table both or
     neither.  The right syntactic congruence of C contains the two-sided
@@ -784,12 +791,12 @@ def _paired_min_indices(
                 f"act-side index {table[c]} of sigma_C exceeds the two-sided "
                 f"one {other[c]} for C = {members}"
             )
-    act_minima: list[int | None] = []
-    monoid_minima: list[int | None] = []
+    act_minima: list[int] = []
+    monoid_minima: list[int] = []
     for a, forb in instances:
         act_index = right.min_index(a, forb)
         monoid_index = two_sided.min_index(a, forb)
-        if None not in (act_index, monoid_index) and act_index > monoid_index:
+        if act_index > monoid_index:
             raise InternalInvariantViolation(
                 f"act-side minimal index {act_index} exceeds the two-sided "
                 f"one {monoid_index} separating {a} from {sorted(forb)}"
@@ -803,7 +810,7 @@ def _paired_min_indices(
 @lru_cache(maxsize=128)
 def _two_sided_memo(
     table: tuple[tuple[int, ...], ...], identity: int, cap: int
-) -> tuple[tuple[int | None, ...], tuple[int | None, ...]]:
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The act-side and the monoid-side index of each condition, in
     CONDITIONS order, for the quotient monoid N with this table and
     identity, solved on N's regular act; see act_monoid_correspondence.
@@ -821,7 +828,7 @@ def _two_sided_memo(
     two_sided = _SigmaBatch(_two_sided_hit_masks(n_monoid), batch, None)
     act_minima, monoid_minima = _paired_min_indices(right, two_sided, batch)
     return tuple(
-        tuple(_condition_index([minimum[i] for i in cond_instances]) for cond_instances in maximal)
+        tuple(max((minimum[i] for i in cond_instances), default=1) for cond_instances in maximal)
         for minimum in (dict(zip(batch, act_minima)), dict(zip(batch, monoid_minima)))
     )
 
@@ -832,8 +839,10 @@ def act_monoid_correspondence(
     cap: int = DEFAULT_SEARCH_CAP,
     monoid_side: bool | None = None,
 ) -> CorrespondenceReport:
-    """For N = M/rho: subacts of the act M/rho are the right ideals of N, and
-    each act-side separability condition matches its monoid-side analogue.
+    """For N = M/rho: the index of each separability condition on the act
+    M/rho and of its analogue on N, when rho is two-sided.  The report
+    stores only these indices; its booleans (the subacts of M/rho are the
+    right ideals, every condition holds on both sides) are derived.
 
     For a two-sided rho, column m of the act M/rho is the right translation
     of N by [m]: [a]*m = [am] = [a][m], and [a][m] does not depend on the
@@ -841,22 +850,21 @@ def act_monoid_correspondence(
     am rho am'), which quotient_monoid checks with two_sided_violation on
     every call.  So the act's distinct columns are N's by construction, and
     only N is built.  The subacts, being the subsets closed under the act's
-    columns, are then the right ideals of N, so subacts_match_right_ideals
-    is True and no subact is enumerated.  Everything else (orbits, maximal
-    instances, syntactic congruences) depends on N alone, so the indices
-    come from _two_sided_memo, which solves on N's regular act and keeps
-    the last 128 results keyed by N's table, identity and cap.  Each report
-    gets fresh mappings.
+    columns, are then the right ideals of N, and no subact is enumerated.
+    Everything else (orbits, maximal instances, syntactic congruences)
+    depends on N alone, so the indices come from _two_sided_memo, which
+    solves on N's regular act and keeps the last 128 results keyed by N's
+    table, identity and cap.  Each report gets fresh mappings.
 
-    Each condition is decided, and its condition index found, from its
-    maximal instances alone (see _maximal_instances), deduplicated across
-    the four conditions: at most n for SSS, one per element and maximal
-    orbit missing it for WSS.  Each is solved on both sides: for the
-    minimal right congruence of the act (a _SigmaBatch on _hit_masks), and
-    for the minimal two-sided congruence of N, which is the two-sided
-    syntactic congruence of some C with a in C and C disjoint from X (the
-    same batch on _two_sided_hit_masks).  Only minimal indices are
-    compared; no congruence is enumerated and no certificate is built.
+    Each condition's index is found from its maximal instances alone (see
+    _maximal_instances), deduplicated across the four conditions: at most n
+    for SSS, one per element and maximal orbit missing it for WSS.  Each
+    is solved on both sides: for the minimal right congruence of the act (a
+    _SigmaBatch on _hit_masks), and for the minimal two-sided congruence of
+    N, which is the two-sided syntactic congruence of some C with a in C and
+    C disjoint from X (the same batch on _two_sided_hit_masks).  Only
+    minimal indices are compared; no congruence is enumerated and no
+    certificate is built.
 
     Right congruences include the two-sided ones, so the act-side sigma_C
     has at most the index of the two-sided one for every C: checked over
@@ -866,11 +874,11 @@ def act_monoid_correspondence(
     condition's maximal instances on its own, checked before any search;
     N has the order of the act's carrier, so one check covers both sides.
 
-    A right-only rho has no quotient monoid, so only the bijection is
-    reported, and it holds for every right congruence: the projection
-    M -> M/rho is an onto act morphism, so taking preimages matches the
-    subacts of M/rho one-to-one with the rho-saturated right ideals of M,
-    with images as the inverse.  That branch reports True and enumerates
+    A right-only rho has no quotient monoid, so the report has no indices
+    and only the bijection, which holds for every right congruence: the
+    projection M -> M/rho is an onto act morphism, so taking preimages
+    matches the subacts of M/rho one-to-one with the rho-saturated right
+    ideals of M, with images as the inverse.  That branch enumerates
     nothing, so of the package's caps only the search cap applies here.
     Requesting monoid_side on such input raises NotTwoSidedCongruence."""
     try:
@@ -878,20 +886,8 @@ def act_monoid_correspondence(
     except NotTwoSidedCongruence:
         if monoid_side:
             raise
-        return CorrespondenceReport(
-            two_sided=False,
-            subacts_match_right_ideals=True,
-            act_conditions=None,
-            monoid_conditions=None,
-        )
+        return CorrespondenceReport(two_sided=False)
     act_indices, monoid_indices = (
         dict(zip(CONDITIONS, indices)) for indices in _two_sided_memo(n_monoid.table, n_monoid.identity, cap)
     )
-    return CorrespondenceReport(
-        two_sided=True,
-        subacts_match_right_ideals=True,
-        act_conditions={cond: index is not None for cond, index in act_indices.items()},
-        monoid_conditions={cond: index is not None for cond, index in monoid_indices.items()},
-        act_indices=act_indices,
-        monoid_indices=monoid_indices,
-    )
+    return CorrespondenceReport(True, act_indices, monoid_indices)

@@ -23,6 +23,7 @@ from actsep.acts import (
 from actsep.catalog import catalog_monoids, enumerate_acts
 from actsep.congruences import (
     all_congruences,
+    compatibility_violation,
     cyclic_act_from_right_congruence,
     enumerate_congruences,
     quotient,
@@ -34,6 +35,7 @@ from actsep.errors import (
     AssociativityViolation,
     BadIdentity,
     IdentityLawViolation,
+    InvalidSpec,
     NotAssociative,
 )
 from actsep.families import build
@@ -42,6 +44,7 @@ from actsep.separability import (
     CONDITIONS,
     _condition_instances,
     act_monoid_correspondence,
+    bracket_profile,
     condition_index,
     _hit_masks,
     _SigmaBatch,
@@ -200,6 +203,29 @@ def test_sigma_upper_bounds_minimal_separation():
                 rest = frozenset(act.carrier()) - {a}
                 cert = separate(act, a, rest)
                 assert cert.quotient_size <= sigma_a(act, a).index
+
+
+def test_sigma_a_is_the_bracket_partition_and_the_cs_certificate():
+    # sigma_a keys x by the bitmask of [a, x]; the bracket sets themselves
+    # are the oracle, and the congruence property is checked, not trusted.
+    # Every catalog act of carrier <= 3 and every 8th of carrier 4.
+    acts = 0
+    for entry in catalog_monoids():
+        for size in range(1, 5):
+            for act in list(enumerate_acts(entry.monoid, size))[:: 8 if size == 4 else 1]:
+                acts += 1
+                cs = check_condition(act, "CS").certificates if act.size > 1 else ()
+                for a in act.carrier():
+                    partition = sigma_a(act, a).partition
+                    assert partition == partition_from_assignment(bracket_profile(act, a).brackets)
+                    assert compatibility_violation(act, partition) is None
+                    assert partition.block(a) == (a,)
+                    if cs:
+                        assert cs[a].element == a and cs[a].congruence.partition == partition
+                for a in (-1, act.size):
+                    with pytest.raises(InvalidSpec):
+                        sigma_a(act, a)
+    assert acts == 3096
 
 
 def _separation_corpus():

@@ -265,6 +265,17 @@ def test_rclass_witness_rejects_non_zero():
         rclass_witness(act, 0, 1)
 
 
+@pytest.mark.parametrize(
+    "a, message",
+    [(99, "^element 99 out of carrier range"), (-1, "^element -1 out of carrier range"),
+     (2, "must differ from the zero")],
+)
+def test_rclass_witness_rejects_a_bad_element(a, message):
+    act = regular_act(NULL1)  # its zero is 2
+    with pytest.raises(InvalidSpec, match=message):
+        rclass_witness(act, 2, a)
+
+
 def test_clifford_witness_zero_over_semilattice():
     semilattice = monoid_from_table([[0, 1], [1, 1]], 0)
     act = regular_act(semilattice)
@@ -286,6 +297,15 @@ def test_clifford_witness_rejects():
     z2 = cyclic_group(2)
     with pytest.raises(RRelated):
         clifford_witness(regular_act(z2), 0, 1)
+
+
+@pytest.mark.parametrize("a, b", [(5, 0), (0, 5), (-1, 0), (0, -1)])
+def test_clifford_witness_rejects_elements_out_of_range(a, b):
+    # checked before the preorder is read: 5 would index past it and -1 wrap
+    act = regular_act(monoid_from_table([[0, 1], [1, 1]], 0))
+    bad = a if b == 0 else b
+    with pytest.raises(InvalidSpec, match=rf"^element {bad} out of carrier range"):
+        clifford_witness(act, a, b)
 
 
 def test_rees_cyclic_witness_rectangular_band():
@@ -392,6 +412,15 @@ def test_rees_bracket_rejects_incomparable():
     act = regular_act(m)
     with pytest.raises(NotComparable):
         rees_bracket_decomposition(act, spec, 0, 0)
+
+
+@pytest.mark.parametrize("a, b", [(0, 99), (0, -1), (99, 0), (-1, 0)])
+def test_rees_bracket_rejects_elements_out_of_range(a, b):
+    spec = ReesMatrixSpec(cyclic_group(2), 2, 2, ((0, 0), (0, 1)))
+    act = regular_act(rees_matrix_monoid(spec))
+    bad = a if b == 0 else b
+    with pytest.raises(InvalidSpec, match=rf"^element {bad} out of carrier range"):
+        rees_bracket_decomposition(act, spec, a, b)
 
 
 # ---------------------------------------------------------------------------
