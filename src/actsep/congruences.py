@@ -71,6 +71,12 @@ class Congruence:
     quotient_monoid wrap their tables without re-validating them, and the
     tests pass every two-sided quotient of the catalog through the checked
     constructors.
+
+    A congruence on a regular act also keeps its left-compatibility verdict:
+    two_sided_violation computes it on the first call and stores it in the
+    instance, so a filter and a later quotient_monoid or correspondence on
+    the same value check it once.  The fields are frozen, so the verdict
+    cannot go stale, and it takes no part in equality or hashing.
     """
 
     act: FiniteAct
@@ -288,6 +294,9 @@ def all_congruences(
 # right congruences on a monoid (congruences on the regular act)
 
 
+_UNCHECKED = object()  # no verdict stored yet; None is the verdict "two-sided"
+
+
 def two_sided_violation(congruence: Congruence) -> tuple[int, int, int] | None:
     """For a congruence on a regular act: None if it is also left-compatible,
     else a witness (a, b, m) with a ~ b but ma !~ mb.
@@ -295,19 +304,27 @@ def two_sided_violation(congruence: Congruence) -> tuple[int, int, int] | None:
     Only the generators' columns of the left table are compared: the m with
     a ~ b => ma ~ mb for all a, b contain the identity and are closed under
     products ((mk)a = m(ka) ~ m(kb) = (mk)b), so they are all of M once
-    they contain a generating set."""
-    monoid = congruence.act.monoid
-    return _split_images(monoid.left_table, congruence.partition, monoid.generators)
+    they contain a generating set.  The verdict is computed once per
+    Congruence value, on the first call, and stored in the instance's
+    __dict__ as cached_property does (a plain dict read, without the lock
+    cached_property takes before Python 3.12); later calls return it."""
+    witness = congruence.__dict__.get("_left_witness", _UNCHECKED)
+    if witness is _UNCHECKED:
+        monoid = congruence.act.monoid
+        witness = _split_images(monoid.left_table, congruence.partition, monoid.generators)
+        congruence.__dict__["_left_witness"] = witness
+    return witness
 
 
-def quotient_monoid(monoid: FiniteMonoid, congruence: Congruence, name: str | None = None) -> FiniteMonoid:
-    """M/rho for a two-sided congruence given on the regular act of M.
-
-    The two checks are that rho lives on M's regular act and that it is
-    left-compatible (two_sided_violation).  M/rho is then a monoid by
-    construction ([a][b] = [ab] is well defined, associative and has [1]
-    as identity), so its table is wrapped without monoid_from_table, and
-    its generating set is computed when first read."""
+def _quotient_table(
+    monoid: FiniteMonoid, congruence: Congruence
+) -> tuple[tuple[tuple[int, ...], ...], int, list[int]]:
+    """The table and identity of M/rho, with the representatives (the least
+    member of each class) that index its rows and columns, after the two
+    checks: rho lives on M's regular act (NotACongruence) and rho is
+    left-compatible (NotTwoSidedCongruence, by two_sided_violation).  Row
+    [a] lists [a*b] over the representatives b: only the representatives'
+    rows and columns of M are read."""
     if congruence.act.table != monoid.table:
         raise NotACongruence("congruence does not live on the regular act of this monoid")
     witness = two_sided_violation(congruence)
@@ -315,10 +332,25 @@ def quotient_monoid(monoid: FiniteMonoid, congruence: Congruence, name: str | No
         raise NotTwoSidedCongruence(*witness)
     block_of = congruence.partition.block_of
     reps = _representatives(block_of)
-    rows = [monoid.table[a] for a in reps]
-    table = tuple(tuple([block_of[row[b]] for b in reps]) for row in rows)
+    rows = map(monoid.table.__getitem__, reps)
+    table = tuple([tuple([block_of[row[b]] for b in reps]) for row in rows])
+    return table, block_of[monoid.identity], reps
+
+
+def quotient_monoid(monoid: FiniteMonoid, congruence: Congruence, name: str | None = None) -> FiniteMonoid:
+    """M/rho for a two-sided congruence given on the regular act of M.
+
+    The two checks are that rho lives on M's regular act and that it is
+    left-compatible (two_sided_violation, whose verdict the congruence
+    keeps, so a caller that filtered by it pays nothing here); both run in
+    _quotient_table, which also builds the table.  M/rho is a monoid by
+    construction ([a][b] = [ab] is well defined, associative and has [1]
+    as identity), so the table is wrapped without monoid_from_table, with
+    labels [x] for each representative x, and its generating set is
+    computed when first read."""
+    table, identity, reps = _quotient_table(monoid, congruence)
     labels = tuple(f"[{monoid.label(r)}]" for r in reps)
-    return FiniteMonoid(table, block_of[monoid.identity], labels, name or f"{monoid.name}/rho")
+    return FiniteMonoid(table, identity, labels, name or f"{monoid.name}/rho")
 
 
 def cyclic_act_from_right_congruence(monoid: FiniteMonoid, congruence: Congruence) -> FiniteAct:

@@ -137,13 +137,15 @@ def _check_rows(table: Sequence[Sequence[int | None]], width: int, bound: int, p
 
 
 def _check_labels(labels: Sequence[str] | None, size: int) -> tuple[str, ...] | None:
-    """The labels as a tuple: one per element, each non-empty and free of
-    whitespace, else MalformedTable."""
+    """The labels as a tuple: one per element, each a non-empty string free
+    of whitespace, else MalformedTable."""
     if labels is None:
         return None
     if len(labels) != size:
         raise MalformedTable(f"{len(labels)} labels for {size} elements")
     for lab in labels:
+        if not isinstance(lab, str):
+            raise MalformedTable(f"label {lab!r} is not a string")
         if not lab or any(c.isspace() for c in lab):
             raise MalformedTable(f"label {lab!r} empty or contains whitespace")
     return tuple(labels)

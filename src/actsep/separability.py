@@ -25,8 +25,8 @@ from .acts import (
 from .congruences import (
     Congruence,
     DEFAULT_SEARCH_CAP,
+    _quotient_table,
     quotient,
-    quotient_monoid,
     verify_congruence,
 )
 from .errors import (
@@ -806,7 +806,6 @@ def _paired_min_indices(
     return act_minima, monoid_minima
 
 
-# one round of perfbench's lattice workload meets 87 distinct quotient monoids
 @lru_cache(maxsize=128)
 def _two_sided_memo(
     table: tuple[tuple[int, ...], ...], identity: int, cap: int
@@ -814,9 +813,12 @@ def _two_sided_memo(
     """The act-side and the monoid-side index of each condition, in
     CONDITIONS order, for the quotient monoid N with this table and
     identity, solved on N's regular act; see act_monoid_correspondence.
-    Each condition's candidate sets are checked against cap before any
-    search, and a raise stores nothing, so a hit means that this cap
-    already passed on this N."""
+    The key is N's bare table and identity, as _quotient_table returns
+    them, so a lookup builds no monoid and only a miss builds N (the 1,384
+    quotients of a round of perfbench's lattice workload share 87 N).  Each
+    condition's candidate sets are checked against cap before any search,
+    and a raise stores nothing, so a hit means that this cap already passed
+    on this N."""
     n_monoid = FiniteMonoid(table, identity)
     act = regular_act(n_monoid)
     orbits = cyclic_subacts(act)
@@ -847,14 +849,16 @@ def act_monoid_correspondence(
     For a two-sided rho, column m of the act M/rho is the right translation
     of N by [m]: [a]*m = [am] = [a][m], and [a][m] does not depend on the
     representative m because rho is left-compatible (m rho m' implies
-    am rho am'), which quotient_monoid checks with two_sided_violation on
-    every call.  So the act's distinct columns are N's by construction, and
-    only N is built.  The subacts, being the subsets closed under the act's
-    columns, are then the right ideals of N, and no subact is enumerated.
-    Everything else (orbits, maximal instances, syntactic congruences)
-    depends on N alone, so the indices come from _two_sided_memo, which
-    solves on N's regular act and keeps the last 128 results keyed by N's
-    table, identity and cap.  Each report gets fresh mappings.
+    am rho am'), which _quotient_table checks with two_sided_violation on
+    every call (a stored read when the caller already asked).  So the act's
+    distinct columns are N's by construction, and only N's table is built:
+    no labels, no FiniteMonoid, no act.  The subacts, being the subsets
+    closed under the act's columns, are then the right ideals of N, and no
+    subact is enumerated.  Everything else (orbits, maximal instances,
+    syntactic congruences) depends on N alone, so the indices come from
+    _two_sided_memo, which solves on N's regular act and keeps the last 128
+    results keyed by N's table, identity and cap.  Each report gets fresh
+    mappings.
 
     Each condition's index is found from its maximal instances alone (see
     _maximal_instances), deduplicated across the four conditions: at most n
@@ -882,12 +886,12 @@ def act_monoid_correspondence(
     nothing, so of the package's caps only the search cap applies here.
     Requesting monoid_side on such input raises NotTwoSidedCongruence."""
     try:
-        n_monoid = quotient_monoid(monoid, rho)
+        table, identity, _ = _quotient_table(monoid, rho)
     except NotTwoSidedCongruence:
         if monoid_side:
             raise
         return CorrespondenceReport(two_sided=False)
     act_indices, monoid_indices = (
-        dict(zip(CONDITIONS, indices)) for indices in _two_sided_memo(n_monoid.table, n_monoid.identity, cap)
+        dict(zip(CONDITIONS, indices)) for indices in _two_sided_memo(table, identity, cap)
     )
     return CorrespondenceReport(True, act_indices, monoid_indices)

@@ -93,6 +93,8 @@ _MALFORMED = {
     "non-int entry": ([[0, 1], [1, "0"]], ["a", "b"]),
     "wrong label count": ([[0, 1], [1, 0]], ["a"]),
     "label with whitespace": ([[0, 1], [1, 0]], ["a", "b c"]),
+    "int labels": ([[0, 1], [1, 0]], [1, 2]),
+    "bytes labels": ([[0, 1], [1, 0]], [b"a", b"b"]),
 }
 
 

@@ -7,14 +7,18 @@ single-entry corruption of small tables, the trusted quotient
 constructions against those validators, and closure_partial against the
 rescanning closure oracle."""
 
+import hashlib
 import random
+from collections import Counter
 
 import pytest
 
 from actsep.acts import (
     FiniteAct,
+    _split_images,
     act_from_table,
     closure_partial,
+    cyclic_subacts,
     decompose,
     partial_act_from_table,
     regular_act,
@@ -37,12 +41,14 @@ from actsep.errors import (
     IdentityLawViolation,
     InvalidSpec,
     NotAssociative,
+    NotTwoSidedCongruence,
 )
 from actsep.families import build
 from actsep.partitions import Partition, partition_from_assignment
 from actsep.separability import (
     CONDITIONS,
     _condition_instances,
+    _maximal_instances,
     act_monoid_correspondence,
     bracket_profile,
     condition_index,
@@ -458,19 +464,25 @@ def test_right_only_subacts_are_the_saturated_right_ideals():
     assert checked == 49
 
 
-def test_act_side_indices_fall_below_the_two_sided_ones():
-    # over every two-sided quotient of the regular act of the 49 catalog
-    # monoids and three larger ones, the act-side condition index is
-    # strictly smaller in exactly 46 (quotient, condition) pairs, none of
-    # them on a commutative quotient
+def _lattice_monoids():
+    """The 49 catalog monoids and three larger ones, the monoids of
+    perfbench's lattice workload."""
     monoids = [entry.monoid for entry in catalog_monoids()]
     monoids += [
         build(name, params).monoid
         for name, params in (("leftzero", {"n": 7}), ("star_semilattice", {"n": 7}), ("semilattice_act", {"n": 8}))
     ]
     assert len(monoids) == 52
+    return monoids
+
+
+def test_act_side_indices_fall_below_the_two_sided_ones():
+    # over every two-sided quotient of the regular act of the 49 catalog
+    # monoids and three larger ones, the act-side condition index is
+    # strictly smaller in exactly 46 (quotient, condition) pairs, none of
+    # them on a commutative quotient
     quotients = smaller = 0
-    for monoid in monoids:
+    for monoid in _lattice_monoids():
         for rho in all_congruences(regular_act(monoid)):
             if two_sided_violation(rho) is not None:
                 continue
@@ -480,6 +492,110 @@ def test_act_side_indices_fall_below_the_two_sided_ones():
             assert not below or not quotient_monoid(monoid, rho).is_commutative
             smaller += len(below)
     assert (quotients, smaller) == (1384, 46)
+
+
+# sha256 over repr((table, identity, labels, name)) of quotient_monoid(M, rho)
+# for every two-sided rho, in the order of the loops below, as computed
+# before two_sided_violation stored its verdict
+QUOTIENT_MONOIDS_SHA256 = "150997e03150f8516d34831865c543807762e224544dcbf5b4164ff408cc4589"
+
+
+def test_two_sided_verdict_is_computed_once_per_congruence(monkeypatch):
+    # the verdict two_sided_violation stores in a congruence is the fresh
+    # check's, a second call reads it without checking again, and
+    # quotient_monoid (which asks again) raises with the same witness and
+    # builds the same monoids as when every call checked
+    from actsep import congruences
+
+    checks = []
+
+    def counted(*args):
+        checks.append(args)
+        return _split_images(*args)
+
+    monkeypatch.setattr(congruences, "_split_images", counted)
+    digest = hashlib.sha256()
+    listed = right_only = 0
+    for monoid in _lattice_monoids():
+        for rho in all_congruences(regular_act(monoid)):
+            listed += 1
+            witness = two_sided_violation(rho)
+            assert two_sided_violation(rho) is witness
+            assert witness == _split_images(monoid.left_table, rho.partition, monoid.generators)
+            assert (witness is None) == (naive_two_sided_violation(monoid, rho.partition) is None)
+            if witness is not None:
+                right_only += 1
+                with pytest.raises(NotTwoSidedCongruence) as raised:
+                    quotient_monoid(monoid, rho)
+                assert raised.value.witness == witness
+                continue
+            n_monoid = quotient_monoid(monoid, rho)
+            digest.update(repr((n_monoid.table, n_monoid.identity, n_monoid.labels, n_monoid.name)).encode())
+    assert (listed, right_only) == (1433, 49)
+    assert len(checks) == listed
+    assert digest.hexdigest() == QUOTIENT_MONOIDS_SHA256
+
+
+def test_correspondence_minima_match_the_naive_route(monkeypatch):
+    # for each distinct N among the 1,384 lattice quotients, the minima the
+    # correspondence computes on its maximal instances equal the least index
+    # of a separating right congruence (act side) and of a separating
+    # two-sided one (monoid side) of N's regular act, all listed by
+    # enumerate_congruences; over the quotients, the act-side minimum is
+    # strictly smaller on 114 instances of the four conditions' full
+    # instance lists, 113 of them maximal, in 23 quotients
+    from actsep import separability
+
+    recorded = []
+    paired = separability._paired_min_indices
+
+    def spy(right, two_sided, instances):
+        minima = paired(right, two_sided, instances)
+        recorded.append((list(instances), minima))
+        return minima
+
+    monkeypatch.setattr(separability, "_paired_min_indices", spy)
+    separability._two_sided_memo.cache_clear()
+    quotients = Counter()
+    first = {}
+    for monoid in _lattice_monoids():
+        for rho in all_congruences(regular_act(monoid)):
+            if two_sided_violation(rho) is None:
+                n_monoid = quotient_monoid(monoid, rho)
+                key = (n_monoid.table, n_monoid.identity)
+                quotients[key] += 1
+                first.setdefault(key, (monoid, rho, n_monoid))
+    assert (sum(quotients.values()), len(quotients)) == (1384, 87)
+    smaller = Counter()
+    for key, (monoid, rho, n_monoid) in first.items():
+        report = act_monoid_correspondence(monoid, rho)
+        batch, (act_minima, monoid_minima) = recorded.pop()
+        act = regular_act(n_monoid)
+        # by index, so the first separating congruence of a side is its least
+        right = sorted(enumerate_congruences(act), key=lambda c: c.index)
+        two_sided = [c for c in right if two_sided_violation(c) is None]
+
+        def naive(a, forbidden):
+            return tuple(next(c.index for c in side if separates(c, a, forbidden)) for side in (right, two_sided))
+
+        minima = dict(zip(batch, zip(act_minima, monoid_minima)))
+        assert minima == {instance: naive(*instance) for instance in batch}
+        orbits = cyclic_subacts(act)
+        maximal = {cond: _maximal_instances(act, cond, orbits) for cond in CONDITIONS}
+        assert set(batch) == {instance for cond_instances in maximal.values() for instance in cond_instances}
+        for cond, cond_instances in maximal.items():
+            assert report.act_indices[cond] == max((minima[i][0] for i in cond_instances), default=1)
+            assert report.monoid_indices[cond] == max((minima[i][1] for i in cond_instances), default=1)
+        for instance in {i for cond in CONDITIONS for i in _condition_instances(act, cond, 1 << 16)}:
+            if instance not in minima:
+                minima[instance] = naive(*instance)
+        below = [i for i, (act_min, monoid_min) in minima.items() if act_min < monoid_min]
+        if below:
+            smaller["quotients"] += quotients[key]
+            smaller["instances"] += quotients[key] * len(below)
+            smaller["maximal"] += quotients[key] * sum(i in batch for i in below)
+    assert not recorded
+    assert smaller == {"quotients": 23, "instances": 114, "maximal": 113}
 
 
 def test_condition_index_is_the_largest_certificate():
