@@ -538,30 +538,48 @@ def _split_images(
     block lie in one block; else a witness (a, b, m) with a ~ b, both images
     defined and split.
 
-    Each block keeps one defined image per column and the member it came
-    from, as closure_partial does, so a is the first member with an image in
-    column m and b the first member whose image lies in another block.
-    Linear in the size of the table."""
+    One pass over the carrier.  Each block keeps one defined image per
+    column, as closure_partial does: its first member's row, copied only
+    when a later member has to fill an undefined entry, which then records
+    the member it came from.  So a is the first member with an image in
+    column m and b the first member whose image lies in another block.  The
+    witness is the first in (block, b, m) order: once one is found in block
+    c, only the members of blocks before c are checked further.  Linear in
+    the size of the table, with no copy on a total table."""
     block_of = partition.block_of
     if columns is None:
         columns = range(len(table[0]))
-    for block in partition.blocks():
-        if len(block) < 2:
+    kept: list[Sequence[int | None]] = []  # the images each block keeps
+    filled: dict[int, dict[int, int]] = {}  # block -> {column: member it filled}
+    witness = None
+    limit = len(block_of)  # the blocks still checked are those before it
+    for x, c in enumerate(block_of):
+        if c == len(kept):
+            kept.append(table[x])
             continue
-        kept = list(table[block[0]])
-        owner = [block[0]] * len(kept)
-        for x in block[1:]:
-            row = table[x]
-            for m in columns:
-                v = row[m]
-                if v is not None:
-                    u = kept[m]
-                    if u is None:
-                        kept[m] = v
-                        owner[m] = x
-                    elif block_of[u] != block_of[v]:
-                        return (owner[m], x, m)
-    return None
+        if c >= limit:
+            continue
+        row = table[x]
+        images = kept[c]
+        for m in columns:
+            v = row[m]
+            if v is not None:
+                u = images[m]
+                if u is None:
+                    owners = filled.get(c)
+                    if owners is None:
+                        images = kept[c] = list(images)
+                        owners = filled[c] = {}
+                    images[m] = v
+                    owners[m] = x
+                elif block_of[u] != block_of[v]:
+                    a = filled[c].get(m) if c in filled else None
+                    witness = (block_of.index(c) if a is None else a, x, m)
+                    if not c:
+                        return witness
+                    limit = c
+                    break
+    return witness
 
 
 def is_closed_partition(partial: PartialAct | FiniteAct, partition: Partition) -> tuple[int, int, int] | None:

@@ -21,7 +21,13 @@ trivially compatible, and every element is a product of generators, so on
 a total act generator columns give every column (the argument of
 acts._validated).  Neither rule changes the yield set.  The yield order is
 the lexicographic order of restricted-growth strings (universal partition
-first, equality last).
+first, equality last).  The search keeps its levels on an explicit stack,
+so each congruence passes through one generator frame, not one per carrier
+element.
+
+Compatibility is checked by acts._split_images alone, in one pass over the
+carrier: each block keeps its first member's row of images, and the witness
+reported is the first split in (block, member, column) order.
 """
 
 from __future__ import annotations
@@ -205,9 +211,12 @@ def enumerate_congruences(
     A deferred pair (t, s) with t < s is kept as a forcing: in forced[s]
     once t is placed, else in waiting[t] until it is.  Each placement
     appends to those lists and to nothing else, and logs every list it
-    appended to, so backtracking pops each logged list once.  The cap is
-    checked against search_space_estimate before the first yield; forcing
-    often visits far fewer placements than that estimate."""
+    appended to, so backtracking pops each logged list once.  The search
+    runs on an explicit stack, one level per carrier element, in the style
+    of catalog.enumerate_acts: every congruence is yielded from this one
+    generator frame, whatever the carrier size, with no recursion limit.
+    The cap is checked against search_space_estimate before the first
+    yield; forcing often visits far fewer placements than that estimate."""
     size = act.size
     bound = size if max_index is None else min(max_index, size)
     if bound < 1:
@@ -260,28 +269,48 @@ def enumerate_congruences(
                     log.append(w)
         return True
 
-    def rec(i: int, used: int) -> Iterator[Congruence]:
-        if i == size:
+    # Level i places element i.  It keeps the next block to try, the block
+    # after its last, and the undo log of its current placement; element i
+    # opened a new block exactly when firsts[-1] == i.  The loop descends on
+    # a placement and backtracks when a level runs out of blocks.
+    nxt = [0] * size
+    end = [1] * size  # level 0 tries block 0 only; deeper levels are set on entry
+    logs: list[list[list[int]]] = [[] for _ in range(size)]
+    i = 0
+    while True:
+        if i < size:
+            b, last = nxt[i], end[i]
+            log: list[list[int]] = []
+            while b < last and not place(i, b, log):
+                for entries in log:  # this call's entries are the last of each list
+                    entries.pop()
+                log.clear()
+                b += 1
+            if b < last:
+                nxt[i] = b + 1
+                logs[i] = log
+                if b == len(firsts):
+                    firsts.append(i)
+                i += 1
+                if i < size:
+                    f = forced[i]
+                    if f:
+                        nxt[i], end[i] = f[0], f[0] + 1
+                    else:
+                        used = len(firsts)
+                        nxt[i], end[i] = 0, used if used == bound else used + 1
+                continue
+        else:
             # a restricted-growth string is already in first-occurrence form
             yield Congruence(act, _normal_partition(tuple(assign)))
+        # level i is done: back to level i - 1, undoing its placement
+        if i == 0:
             return
-        f = forced[i]
-        for b in f[:1] if f else range(used if used == bound else used + 1):
-            log: list[list[int]] = []
-            if place(i, b, log):
-                if b < used:
-                    yield from rec(i + 1, used)
-                else:
-                    firsts.append(i)
-                    yield from rec(i + 1, used + 1)
-                    firsts.pop()
-            for entries in log:  # this call's entries are the last of each list
-                entries.pop()
-
-    try:
-        yield from rec(0, 0)
-    finally:
-        del rec  # rec refers to itself through its closure cell
+        i -= 1
+        for entries in logs[i]:
+            entries.pop()
+        if firsts[-1] == i:
+            firsts.pop()
 
 
 def all_congruences(

@@ -141,6 +141,8 @@ def _check_labels(labels: Sequence[str] | None, size: int) -> tuple[str, ...] | 
     of whitespace, else MalformedTable."""
     if labels is None:
         return None
+    if isinstance(labels, str) or not hasattr(labels, "__len__"):
+        raise MalformedTable(f"labels must be a sequence of strings, not {type(labels).__name__}")
     if len(labels) != size:
         raise MalformedTable(f"{len(labels)} labels for {size} elements")
     for lab in labels:
@@ -283,9 +285,8 @@ def adjoin_identity(
     table = [[0] + [j + 1 for j in range(n)]]
     for i in range(n):
         table.append([i + 1] + [semigroup_table[i][j] + 1 for j in range(n)])
-    new_labels = None
-    if labels is not None:
-        new_labels = ["1", *labels]
+    labels = _check_labels(labels, n)
+    new_labels = None if labels is None else ["1", *labels]
     return monoid_from_table(table, 0, new_labels, name=name)
 
 

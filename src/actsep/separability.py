@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, count
 from operator import gt, xor
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .acts import (
     DEFAULT_SUBACT_CAP,
@@ -197,19 +197,25 @@ def _two_sided_hit_masks(monoid: FiniteMonoid) -> list[list[int]]:
     return hits
 
 
+def _gray_keys(hits: list[list[int]], a: int, forbidden: frozenset[int]) -> Iterator[list[int]]:
+    """The keys of sigma_C for every set C with a in C and C disjoint from X,
+    in Gray-code order: one XOR with hits[y] per element and step."""
+    free = [y for y in range(len(hits)) if y != a and y not in forbidden]
+    keys = hits[a]
+    yield keys
+    for step in range(1, 1 << len(free)):
+        keys = list(map(xor, keys, hits[free[(step & -step).bit_length() - 1]]))
+        yield keys
+
+
 def _walk_alone(
     hits: list[list[int]], a: int, forbidden: frozenset[int], bound: int
 ) -> tuple[int, ...] | None:
     """The least-index sigma_C over the sets C with a in C and C disjoint
     from X, walked in Gray-code order; its block_of, or None above bound."""
-    free = [y for y in range(len(hits)) if y != a and y not in forbidden]
-    keys = hits[a]
     best_index = bound
     best: tuple[int, ...] | None = None
-    for step in range(1 << len(free)):
-        if step:
-            y = free[(step & -step).bit_length() - 1]
-            keys = list(map(xor, keys, hits[y]))
+    for keys in _gray_keys(hits, a, forbidden):
         index = len(set(keys))
         if index <= best_index:
             block_of = normalize_block_ids(keys)
@@ -286,14 +292,22 @@ class _SigmaBatch:
                 c ^= 1 << i
             self.table[c] = len(set(keys))
 
+    def _masks(self, a: int, forbidden: frozenset[int]) -> tuple[int, int]:
+        """The bit of a and the free elements besides a that miss X: the
+        candidate sets C are the bit of a joined with each submask of the
+        latter."""
+        bit = self.bit
+        own = bit[a]
+        allowed = (len(self.table) - 1) & ~own
+        for x in forbidden:
+            allowed &= ~bit.get(x, 0)
+        return own, allowed
+
     def _ties(self, a: int, forbidden: frozenset[int]) -> list[int]:
         """The masks C with a in C, C disjoint from X, and the least index of
         sigma_C, when that index is within the bound."""
-        table, bit = self.table, self.bit
-        own = bit[a]
-        allowed = (len(table) - 1) & ~own
-        for x in forbidden:
-            allowed &= ~bit.get(x, 0)
+        table = self.table
+        own, allowed = self._masks(a, forbidden)
         best = self.bound
         ties: list[int] = []
         sub = allowed
@@ -324,13 +338,33 @@ class _SigmaBatch:
         return min(map(self._block_of, ties)) if ties else None
 
     def min_index(self, a: int, forbidden: frozenset[int]) -> int:
-        """The index of solve(a, X), without normalising ties on the table.
-        Called only on batches built with max_index=None, whose bound is the
-        carrier size: sigma_a separates a from everything else, so solve
-        always finds a winner there."""
+        """The index of solve(a, X), from the class counts alone: no tie is
+        normalised and no tie list is built.  Every candidate separates a
+        from X, so the walk stops at the first index 2.  Called only on
+        batches built with max_index=None, whose bound is the carrier size:
+        sigma_a separates a from everything else, so solve always finds a
+        winner there."""
+        best = self.bound
         if self.table is None:
-            return max(_walk_alone(self.hits, a, forbidden, self.bound)) + 1
-        return self.table[self._ties(a, forbidden)[0]]
+            for keys in _gray_keys(self.hits, a, forbidden):
+                index = len(set(keys))
+                if index < best:
+                    best = index
+                    if index == 2:
+                        break
+            return best
+        table = self.table
+        own, allowed = self._masks(a, forbidden)
+        sub = allowed
+        while True:
+            index = table[sub | own]
+            if index < best:
+                best = index
+                if index == 2:
+                    return 2
+            if not sub:
+                return best
+            sub = (sub - 1) & allowed
 
 
 def separate(
@@ -360,9 +394,13 @@ def minimal_separating_index(
     forbidden: Iterable[int],
     cap: int = DEFAULT_SEARCH_CAP,
 ) -> int:
-    cert = separate(act, a, forbidden, cap=cap)
-    assert cert is not None  # unbounded search cannot fail on a finite act
-    return cert.quotient_size
+    """The index of separate(act, a, forbidden), with the same input and cap
+    checks, from the class counts of the search alone: no congruence or
+    certificate is built."""
+    forb = frozenset(forbidden)
+    _check_separation_input(act, a, forb)
+    _require_within_cap(act.size, [(a, forb)], None, cap)
+    return _SigmaBatch(_hit_masks(act), [(a, forb)], None).min_index(a, forb)
 
 
 # ---------------------------------------------------------------------------

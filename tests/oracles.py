@@ -67,6 +67,28 @@ def naive_two_sided_violation(monoid: FiniteMonoid, partition: Partition):
     return None
 
 
+def naive_split_witness(table, partition: Partition, columns=None):
+    """The compatibility witness from its definition: the first (a, b, m) in
+    (block, b, m) order with a ~ b, a < b, a the block's first member with a
+    defined image in column m, b's image in column m defined too, and the
+    two images in different blocks; None when there is none.  Every column
+    when columns is None."""
+    block_of = partition.block_of
+    if columns is None:
+        columns = range(len(table[0]))
+    for block in partition.blocks():
+        for b in block:
+            for m in columns:
+                defined = [x for x in block if table[x][m] is not None]
+                if not defined:
+                    continue
+                a = defined[0]
+                u, v = table[a][m], table[b][m]
+                if a < b and v is not None and block_of[u] != block_of[v]:
+                    return (a, b, m)
+    return None
+
+
 def separates(congruence, element: int, forbidden) -> bool:
     """Whether the congruence puts element in a class that misses forbidden."""
     block_of = congruence.partition.block_of

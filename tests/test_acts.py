@@ -95,6 +95,8 @@ _MALFORMED = {
     "label with whitespace": ([[0, 1], [1, 0]], ["a", "b c"]),
     "int labels": ([[0, 1], [1, 0]], [1, 2]),
     "bytes labels": ([[0, 1], [1, 0]], [b"a", b"b"]),
+    "string as labels": ([[0, 1], [1, 0]], "ab"),
+    "iterator as labels": ([[0, 1], [1, 0]], iter(["a", "b"])),
 }
 
 

@@ -19,7 +19,13 @@ from actsep.congruences import (
     verify_congruence,
 )
 from actsep.errors import ActMismatch, NotCompatible, SearchSpaceTooLarge
-from actsep.monoids import are_isomorphic, cyclic_group, null_adjoined, transformation_closure
+from actsep.monoids import (
+    are_isomorphic,
+    cyclic_group,
+    null_adjoined,
+    transformation_closure,
+    trivial_monoid,
+)
 from actsep.partitions import partition_from_assignment, partition_from_blocks
 from actsep.families import _bz_quotient_monoid, build
 from oracles import all_set_partitions, naive_congruences
@@ -232,6 +238,12 @@ def test_enumerate_cap():
     with pytest.raises(SearchSpaceTooLarge) as exc:
         list(enumerate_congruences(act, cap=10))
     assert exc.value.estimate == search_space_estimate(8, 8)
+
+
+def test_enumeration_runs_in_one_frame_on_a_deep_carrier():
+    # one search level per carrier element, none of them a Python frame
+    act = act_from_table(trivial_monoid(), [[x] for x in range(1500)])
+    assert all_congruences(act, max_index=1) == (universal_congruence(act),)
 
 
 def test_search_space_estimate():

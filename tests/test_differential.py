@@ -44,7 +44,7 @@ from actsep.errors import (
     NotTwoSidedCongruence,
 )
 from actsep.families import build
-from actsep.partitions import Partition, partition_from_assignment
+from actsep.partitions import Partition, partition_from_assignment, partition_from_blocks
 from actsep.separability import (
     CONDITIONS,
     _condition_instances,
@@ -61,12 +61,14 @@ from actsep.separability import (
 )
 from actsep.monoids import cyclic_group, monoid_from_table, right_ideals
 from oracles import (
+    all_set_partitions,
     naive_act_violation,
     naive_acts,
     naive_congruences,
     naive_is_associative,
     naive_min_separating_index,
     naive_partial_closure,
+    naive_split_witness,
     naive_two_sided_violation,
     separates,
 )
@@ -172,6 +174,50 @@ def test_two_sided_check_on_generator_columns_matches_all_columns():
                 assert rho.same(a, b) and not rho.same(t[m][a], t[m][b])
                 right_only += 1
     assert right_only == 49  # of 1,433 right congruences
+
+
+def test_split_witness_matches_the_definition():
+    # the one-pass checker against the witness read off its definition, on
+    # seeded random partitions of every catalog act of carrier <= 3 and
+    # every 40th of carrier 4 (all columns and the generators' columns), and
+    # on partial windows: every partition of those of carrier <= 7, where a
+    # later member fills a column its block's first member leaves undefined
+    rng = random.Random(29)
+    cases = []
+    for entry in catalog_monoids():
+        gens = entry.monoid.generators
+        for size in range(1, 5):
+            for act in list(enumerate_acts(entry.monoid, size))[:: 1 if size < 4 else 40]:
+                for columns in (None, gens):
+                    for _ in range(2):
+                        keys = [rng.randrange(rng.randrange(1, size + 1)) for _ in range(size)]
+                        cases.append((act.table, columns, partition_from_assignment(keys)))
+    for name, params in (
+        ("bz_window", {"w": 1}),
+        ("bz_window", {"w": 6}),
+        ("n_times_g", {"n": 2, "g": 2}),
+        ("n_times_g", {"n": 3, "g": 2}),
+    ):
+        window = build(name, params).act
+        assert not window._total
+        size = window.size
+        if size <= 7:
+            partitions = [partition_from_blocks(size, blocks) for blocks in all_set_partitions(size)]
+        else:
+            partitions = [
+                partition_from_assignment(rng.randrange(rng.randrange(1, size + 1)) for _ in range(size))
+                for _ in range(300)
+            ]
+        for columns in (None, window.monoid.generators):
+            cases += [(window.table, columns, partition) for partition in partitions]
+    found = filled = 0
+    for table, columns, partition in cases:
+        witness = _split_images(table, partition, columns)
+        assert witness == naive_split_witness(table, partition, columns)
+        if witness is not None:
+            found += 1
+            filled += witness[0] != partition.block_of.index(partition.block_of[witness[0]])
+    assert found > 2000 and filled > 20
 
 
 def test_act_enumeration_order3_carrier4_against_naive():
@@ -614,6 +660,44 @@ def test_condition_index_is_the_largest_certificate():
                     for a, forbidden in _condition_instances(act, cond, 1 << 16)
                 ]
                 assert condition_index(act, cond.lower()) == max(naive, default=1)
+
+
+def test_minimal_index_equals_the_certificate_index(monkeypatch):
+    # minimal_separating_index counts classes only: it must agree with
+    # separate's certificate on seeded random catalog instances, raise what
+    # separate raises, and never normalise a partition or build a certificate
+    from actsep import separability
+
+    rng = random.Random(12)
+    instances = []
+    for entry in catalog_monoids():
+        for size in (2, 3, 4):
+            for act in list(enumerate_acts(entry.monoid, size))[::60]:
+                for _ in range(2):
+                    a = rng.randrange(size)
+                    others = [x for x in act.carrier() if x != a]
+                    instances.append((act, a, rng.sample(others, rng.randrange(1, size))))
+    expected = [separate(act, a, forbidden).quotient_size for act, a, forbidden in instances]
+    act = instances[0][0]
+    bad = [((act, 0, []), {}), ((act, 0, [0, 1]), {}), ((act, act.size, [0]), {}), ((act, 0, [-1]), {})]
+    bad.append(((act, 0, [1]), {"cap": 0}))
+    raised = []
+    for args, kwargs in bad:
+        with pytest.raises(Exception) as exc:
+            separate(*args, **kwargs)
+        raised.append((type(exc.value), str(exc.value)))
+
+    def forbidden_call(*args, **kwargs):
+        raise AssertionError("minimal_separating_index built a partition or a certificate")
+
+    monkeypatch.setattr(separability, "normalize_block_ids", forbidden_call)
+    monkeypatch.setattr(separability, "_certificate", forbidden_call)
+    assert [separability.minimal_separating_index(*instance) for instance in instances] == expected
+    assert len(expected) > 500 and len(set(expected)) >= 3
+    for (args, kwargs), (kind, message) in zip(bad, raised):
+        with pytest.raises(kind) as exc:
+            separability.minimal_separating_index(*args, **kwargs)
+        assert str(exc.value) == message
 
 
 def test_certificate_partitions_pass_the_checked_constructor():
